@@ -6,9 +6,10 @@ Measures, and records into ``BENCH_hotpaths.json`` (repo root by default):
   :func:`repro.analysis.makespan.pipelined_makespan` vs the ``(node, slice)``
   reference loop, swept over 20/50/100/200-node platforms and
   ``K = 100 / 1000`` slices;
-* **in-order simulation** — the event-free fast path of
+* **in-order simulation** — the kernels behind
   :func:`repro.simulation.simulate_broadcast` vs the discrete-event engine
-  on the same sweep;
+  on the same sweep: the event-free recurrence on direct (grow-tree) trees
+  and the index-based replay on routed binomial trees (``binomial-*`` rows);
 * **heuristics end-to-end** — heap-frontier growing, oracle-backed pruning
   and delta-evaluated local search vs their rescan/recompute references at
   20/50/100 nodes.
@@ -37,6 +38,7 @@ import numpy as np
 
 from conftest import record_host
 from repro import _version
+from repro.core.binomial import BinomialTreeHeuristic
 from repro.core.grow_tree import GrowingMinimumOutDegreeTree
 from repro.core.local_search import improve_tree, improve_tree_reference
 from repro.core.lp_prune import LPCommunicationGraphPruning
@@ -137,30 +139,36 @@ def bench_makespan(platforms, slice_counts, rounds) -> dict:
 def bench_simulation(platforms, slice_counts, rounds) -> dict:
     results = {}
     for num_nodes, platform in platforms.items():
-        tree = GrowingMinimumOutDegreeTree().build(platform, 0)
-        for num_slices in slice_counts:
-            def run(force_engine: bool):
-                simulator = PipelinedBroadcastSimulator(
-                    tree, num_slices, record_trace=False
-                )
-                if force_engine:
-                    simulator._fast_path_applicable = lambda: False
-                return simulator.run()
+        trees = {
+            "": GrowingMinimumOutDegreeTree().build(platform, 0),
+            "binomial-": BinomialTreeHeuristic().build(platform, 0),
+        }
+        if trees["binomial-"].is_direct:
+            raise BenchError(f"binomial tree at n={num_nodes} has no routed edge")
+        for prefix, tree in trees.items():
+            for num_slices in slice_counts:
+                def run(force_engine: bool):
+                    simulator = PipelinedBroadcastSimulator(
+                        tree, num_slices, record_trace=False
+                    )
+                    if force_engine:
+                        simulator._fast_path_applicable = lambda: False
+                    return simulator.run()
 
-            fast_seconds, fast = best_of(rounds, lambda: run(False))
-            engine_seconds, engine = best_of(1, lambda: run(True))
-            check(
-                fast.arrival_times == engine.arrival_times
-                and fast.makespan == engine.makespan
-                and fast.resource_utilization == engine.resource_utilization,
-                f"in-order simulation fast path at n={num_nodes}, K={num_slices}",
-            )
-            results[f"n{num_nodes}-K{num_slices}"] = {
-                "engine_seconds": round(engine_seconds, 5),
-                "fastpath_seconds": round(fast_seconds, 5),
-                "speedup": round(engine_seconds / fast_seconds, 2),
-                "identical": True,
-            }
+                fast_seconds, fast = best_of(rounds, lambda: run(False))
+                engine_seconds, engine = best_of(1, lambda: run(True))
+                check(
+                    fast.arrival_times == engine.arrival_times
+                    and fast.makespan == engine.makespan
+                    and fast.resource_utilization == engine.resource_utilization,
+                    f"in-order simulation fast path, {prefix}n={num_nodes}, K={num_slices}",
+                )
+                results[f"{prefix}n{num_nodes}-K{num_slices}"] = {
+                    "engine_seconds": round(engine_seconds, 5),
+                    "fastpath_seconds": round(fast_seconds, 5),
+                    "speedup": round(engine_seconds / fast_seconds, 2),
+                    "identical": True,
+                }
     return results
 
 

@@ -8,8 +8,9 @@ the pure-Python reference implementations spread across ``analysis``,
   of :class:`~repro.platform.compiled.CompiledPlatform`;
 * :mod:`~repro.kernels.makespan` — running-max scans for the pipelined
   makespan recurrence;
-* :mod:`~repro.kernels.simulation` — the event-free in-order simulation
-  schedule;
+* :mod:`~repro.kernels.simulation` — the in-order simulation schedule:
+  event-free on direct trees, an index-based replay of the engine's event
+  order on routed trees;
 * :mod:`~repro.kernels.batch` — :class:`EnsembleBatch`, the ragged
   cross-platform stacking of many compiled trees, with ensemble-batched
   makespan / simulation sweeps;

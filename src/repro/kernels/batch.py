@@ -361,7 +361,10 @@ def batch_inorder_simulation(
     share the single batched sweep; multi-port items are replayed through
     the scalar per-item recurrence (their link occupation genuinely couples
     consecutive slices).  Raises :class:`ValueError` when any item is a
-    routed tree (the in-order fast path never applies to those).
+    routed tree: those replay the engine's event order one tree at a time
+    (:func:`repro.kernels.simulation.inorder_routed_run`), and their
+    one-port arrivals are not the canonical makespan recurrence that
+    :class:`~repro.api.Session` reuses from a batched sweep.
     """
     if batch.fallback_items:
         raise ValueError(

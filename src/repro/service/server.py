@@ -475,6 +475,9 @@ def _make_handler(app: ServiceApp) -> type[BaseHTTPRequestHandler]:
     class _Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-solve"
+        # Headers and body go out as two sends; with Nagle on, the body of a
+        # keep-alive reply would wait for the client's delayed ACK (~40 ms).
+        disable_nagle_algorithm = True
 
         def log_message(self, *args: Any) -> None:  # pragma: no cover
             pass  # request logging would swamp the soak tests' stderr

@@ -21,14 +21,17 @@ different arrivals.
 
 Fast path
 ---------
-For the in-order policy on *direct* trees with the canonical port models
-and tracing disabled, every resource serves its obligations in a
-predetermined order, so the schedule needs no event heap — it is evaluated
-directly by :mod:`repro.kernels.simulation` (vectorized scans under the
-one-port model, a lean scalar recurrence mirroring the engine's arithmetic
-under the multi-port model).  The event engine remains the implementation
-for the greedy policy, routed trees, tracing and custom port models, and
-the test suite cross-checks the two paths for equality.
+For the in-order policy with the canonical port models and tracing
+disabled, :mod:`repro.kernels.simulation` evaluates the schedule from the
+compiled tree arrays.  On *direct* trees every resource serves its
+obligations in a predetermined order, so no event heap is needed
+(vectorized scans under the one-port model, a lean scalar recurrence
+mirroring the engine's arithmetic under the multi-port model).  On routed
+trees, shared relays make the order of receive-port reservations depend on
+event timing, so the kernel replays this engine's event order over integer
+indices.  The event engine remains the implementation for the greedy
+policy, tracing and custom port models, and the test suite cross-checks
+every kernel against it.
 """
 
 from __future__ import annotations
@@ -318,10 +321,10 @@ class PipelinedBroadcastSimulator:
         self._try_send(obligation.receiver)
 
     # ------------------------------------------------------------------ #
-    # Event-free fast path (canonical in-order schedule)
+    # Kernel fast path (canonical in-order schedule)
     # ------------------------------------------------------------------ #
     def _fast_path_applicable(self) -> bool:
-        """Whether the in-order schedule can be evaluated without events."""
+        """Whether a :mod:`repro.kernels.simulation` kernel serves this run."""
         from ..kernels.simulation import supports_inorder_fast_path
 
         return (
@@ -332,10 +335,11 @@ class PipelinedBroadcastSimulator:
 
     def _run_fast(self) -> SimulationResult:
         """Evaluate the in-order schedule directly from the compiled arrays."""
-        from ..kernels.simulation import inorder_direct_run
+        from ..kernels.simulation import inorder_direct_run, inorder_routed_run
 
         ctree = self.tree.compiled(self.size)
-        run = inorder_direct_run(ctree, self.num_slices, self.model)
+        kernel = inorder_direct_run if ctree.is_direct else inorder_routed_run
+        run = kernel(ctree, self.num_slices, self.model)
         return inorder_result_from_run(
             self.tree, self.num_slices, self.model, self.size, run, trace=self.trace
         )
@@ -424,10 +428,11 @@ def inorder_result_from_run(
     run: "tuple",
     trace: SimulationTrace | None = None,
 ) -> SimulationResult:
-    """Assemble a :class:`SimulationResult` from an event-free in-order run.
+    """Assemble a :class:`SimulationResult` from a kernel in-order run.
 
     ``run`` is the ``(arrivals, send_busy, recv_busy, link_busy)`` tuple of
-    :func:`repro.kernels.simulation.inorder_direct_run` (or one item of
+    :func:`repro.kernels.simulation.inorder_direct_run` or
+    :func:`~repro.kernels.simulation.inorder_routed_run` (or one item of
     :func:`repro.kernels.batch.batch_inorder_simulation`, which is the same
     tuple); this is the single assembly path shared by the per-item fast
     path and the ensemble-batched :meth:`repro.api.Session.solve_many`, so

@@ -23,10 +23,12 @@ from hypothesis import strategies as st
 
 from repro import (
     BroadcastTree,
+    CollectiveSpec,
     MultiPortModel,
     OnePortModel,
     Platform,
     build_broadcast_tree,
+    build_collective_tree,
     generate_random_platform,
     pipelined_makespan,
     pipelined_makespan_reference,
@@ -284,13 +286,107 @@ class TestSimulationFastPath:
         assert fast.arrival_times == engine.arrival_times
         assert fast.resource_utilization == engine.resource_utilization
 
-    def test_routed_trees_and_tracing_keep_the_engine(self, small_random_platform):
+    def test_routed_trees_take_the_kernel_tracing_and_greedy_keep_the_engine(
+        self, small_random_platform, monkeypatch
+    ):
+        from repro.simulation.broadcast import PipelinedBroadcastSimulator
+
         routed = build_broadcast_tree(small_random_platform, 0, "binomial")
-        result = simulate_broadcast(routed, 10, record_trace=False)
-        assert result.makespan > 0  # engine path (fast path rejects routed trees)
-        direct = build_broadcast_tree(small_random_platform, 0, "grow-tree")
-        traced = simulate_broadcast(direct, 10, record_trace=True)
-        assert len(traced.trace) > 0  # tracing always uses the engine
+        assert not routed.is_direct
+        engine_runs = []
+        build = PipelinedBroadcastSimulator._build_obligations
+        monkeypatch.setattr(
+            PipelinedBroadcastSimulator,
+            "_build_obligations",
+            lambda self: (engine_runs.append(self.policy), build(self))[1],
+        )
+        assert simulate_broadcast(routed, 10, record_trace=False).makespan > 0
+        assert engine_runs == []  # in-order routed runs: the kernel path
+        greedy = simulate_broadcast(routed, 10, policy="greedy", record_trace=False)
+        assert greedy.makespan > 0 and engine_runs == ["greedy"]
+        traced = simulate_broadcast(routed, 10, record_trace=True)
+        assert len(traced.trace) > 0 and engine_runs == ["greedy", "in-order"]
+
+
+# --------------------------------------------------------------------------- #
+# Routed (binomial) trees: index-based replay vs. the event engine
+# --------------------------------------------------------------------------- #
+def _assert_kernel_matches_engine(tree, model, num_slices):
+    fast, engine = TestSimulationFastPath.run_both(tree, model, num_slices)
+    assert fast.arrival_times == engine.arrival_times
+    assert fast.makespan == engine.makespan
+    assert fast.measured_throughput == engine.measured_throughput
+    assert fast.resource_utilization == engine.resource_utilization
+
+
+class TestRoutedSimulationKernel:
+    @pytest.mark.parametrize("platform_fixture", [
+        "small_random_platform", "tiers_platform", "cluster_platform",
+    ])
+    @pytest.mark.parametrize("kind", ["broadcast", "multicast", "reduce"])
+    @pytest.mark.parametrize("model", both_models(), ids=["one-port", "multi-port"])
+    def test_bit_identical_to_engine(self, platform_fixture, kind, model, request):
+        platform = request.getfixturevalue(platform_fixture)
+        nodes = list(platform.nodes)
+        spec = {
+            "broadcast": CollectiveSpec.broadcast(nodes[0]),
+            "multicast": CollectiveSpec.multicast(nodes[0], nodes[1::2]),
+            "reduce": CollectiveSpec.reduce(nodes[0]),
+        }[kind]
+        tree = build_collective_tree(platform, spec, "binomial", model=model)
+        assert not tree.is_direct
+        for num_slices in (1, 2, 7, 50):
+            _assert_kernel_matches_engine(tree, model, num_slices)
+
+    @staticmethod
+    def shared_relay_platform(send_overhead=None):
+        # Relay 3 serves logical edges of two different parents (0 -> 2 and
+        # 1 -> 4), so its receive port and send port interleave two streams.
+        platform = Platform(name="shared-relay", slice_size=1.0)
+        for node in range(5):
+            platform.add_node(ProcessorNode(name=node, send_overhead=send_overhead))
+        for u, v, t in [(0, 1, 2.0), (0, 3, 3.0), (3, 2, 1.5), (1, 3, 2.5), (3, 4, 4.0)]:
+            platform.add_link(Link.with_transfer_time(u, v, t))
+        platform.validate()
+        tree = BroadcastTree.from_logical_transfers(
+            platform, 0, [(0, 1), (0, 2), (1, 4), (0, 3)]
+        )
+        assert tree.route(0, 2) == ((0, 3), (3, 2))
+        assert tree.route(1, 4) == ((1, 3), (3, 4))
+        return tree
+
+    @pytest.mark.parametrize("model", both_models(), ids=["one-port", "multi-port"])
+    def test_relay_shared_by_two_logical_edges(self, model):
+        tree = self.shared_relay_platform()
+        for num_slices in (1, 2, 7, 50):
+            _assert_kernel_matches_engine(tree, model, num_slices)
+
+    def test_zero_send_overhead_on_a_routed_tree(self):
+        # Free sends: sender-free events fire at the send's own start time,
+        # and the engine drops the zero-busy send ports from the utilization.
+        tree = self.shared_relay_platform(send_overhead=0.0)
+        for num_slices in (1, 7, 50):
+            _assert_kernel_matches_engine(tree, MultiPortModel(), num_slices)
+
+    @MODERATE
+    @given(integer_params)
+    def test_bit_identical_on_integer_platforms(self, params):
+        platform = integer_platform(*params)
+        tree = build_broadcast_tree(platform, 0, "binomial")
+        for model in both_models():
+            _assert_kernel_matches_engine(tree, model, 13)
+
+    def test_malformed_tree_raises_like_the_engine(self, small_random_platform):
+        from dataclasses import replace
+
+        from repro.exceptions import SimulationError
+        from repro.kernels.simulation import inorder_routed_run
+
+        ctree = build_broadcast_tree(small_random_platform, 0, "binomial").compiled()
+        # Parents listed before their own parent never see their data.
+        broken = replace(ctree, bfs=ctree.bfs[::-1].copy())
+        with pytest.raises(SimulationError, match="pending transfers"):
+            inorder_routed_run(broken, 3, OnePortModel())
 
 
 # --------------------------------------------------------------------------- #

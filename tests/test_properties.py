@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -22,6 +22,7 @@ from repro.analysis.metrics import summarize
 from repro.core.binomial import BinomialTreeHeuristic
 from repro.platform.costs import AffineCost
 from repro.simulation import simulate_broadcast
+from repro.simulation.broadcast import PipelinedBroadcastSimulator
 from repro.utils.graph_utils import adjacency_from_edges, reachable_from, sort_edges_by_weight
 from tests.conftest import assert_spanning_tree
 
@@ -217,6 +218,30 @@ class TestCrossValidationProperties:
         # longer run essentially free.
         result = simulate_broadcast(tree, num_slices=60, record_trace=False)
         assert result.relative_error() < 0.05
+
+    @MODERATE
+    @given(
+        platform_params,
+        st.sampled_from(["one-port", "multi-port"]),
+        st.integers(min_value=1, max_value=60),
+    )
+    def test_routed_kernel_replays_the_event_engine(self, params, model, num_slices):
+        # Routed (binomial) in-order runs take the index-based kernel; it is
+        # bit-identical to the event engine, even on continuous costs.  (A
+        # binomial tree that happens to be direct takes the one-port scan,
+        # which re-associates sums and is only 1e-12-close there.)
+        tree = build_broadcast_tree(make_platform(params), 0, "binomial")
+        assume(not tree.is_direct)
+        fast = simulate_broadcast(tree, num_slices, model=model, record_trace=False)
+        engine = PipelinedBroadcastSimulator(
+            tree, num_slices, model=model, record_trace=False
+        )
+        engine._fast_path_applicable = lambda: False
+        reference = engine.run()
+        assert fast.arrival_times == reference.arrival_times
+        assert fast.makespan == reference.makespan
+        assert fast.measured_throughput == reference.measured_throughput
+        assert fast.resource_utilization == reference.resource_utilization
 
 
 # --------------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ HTTP layer is a thin JSON pump), a few go over real HTTP through
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -442,6 +443,27 @@ class TestHTTP:
             assert response.status == 200
             stats = json.loads(response.read())
         assert "caches" in stats and "counters" in stats
+
+    def test_keep_alive_replies_do_not_wait_for_delayed_ack(self, endpoint):
+        # A reply written as two small sends with Nagle on makes the body
+        # wait for the client's delayed ACK (~40 ms on Linux) on every
+        # request after the first few of a keep-alive connection.
+        host, port = endpoint.rsplit("/", 1)[1].split(":")
+        body = _job(7).to_json()
+        connection = http.client.HTTPConnection(host, int(port), timeout=60)
+        try:
+            elapsed = []
+            for attempt in range(12):
+                began = time.perf_counter()
+                connection.request("POST", "/solve", body=body)
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                if attempt:  # the first request solves cold
+                    elapsed.append(time.perf_counter() - began)
+        finally:
+            connection.close()
+        assert max(elapsed) < 0.035, [round(e * 1000, 1) for e in elapsed]
 
 
 # --------------------------------------------------------------------------- #
