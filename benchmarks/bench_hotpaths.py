@@ -12,13 +12,21 @@ Measures, and records into ``BENCH_hotpaths.json`` (repo root by default):
   and the index-based replay on routed binomial trees (``binomial-*`` rows);
 * **heuristics end-to-end** — heap-frontier growing, oracle-backed pruning
   and delta-evaluated local search vs their rescan/recompute references at
-  20/50/100 nodes.
+  20/50/100 nodes;
+* **LP solve** — the production SSB(G) solve of
+  :func:`repro.lp.solver.solve_collective_lp` (HiGHS dual simplex with
+  devex pricing) vs a direct ``linprog(method="highs")`` call on the same
+  assembled program, over random 20/30-node and Tiers 30/65-node LPs
+  (``lp_solve`` rows; HiGHS seconds only, assembly excluded; one solve per
+  program, since the 30-node solves take seconds).
 
 Every timed pair is also *checked*: the benchmark platforms use integer
 link times and integer explicit overheads, which makes the fast paths
 bit-identical to their references (no re-association slack), and the run
-aborts with a non-zero exit code on any mismatch.  ``--quick`` shrinks the
-sweep for CI smoke coverage.
+aborts with a non-zero exit code on any mismatch.  The LP rows check the
+optimal throughput ``TP`` to 1e-9 relative instead: the two pricing rules
+may stop at different optimal vertices of the same program.  ``--quick``
+shrinks the sweep for CI smoke coverage.
 
 Run it as a script::
 
@@ -35,9 +43,12 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy import optimize
 
 from conftest import record_host
 from repro import _version
+from repro.api import PlatformRecipe
+from repro.collectives import CollectiveSpec, effective_problem
 from repro.core.binomial import BinomialTreeHeuristic
 from repro.core.grow_tree import GrowingMinimumOutDegreeTree
 from repro.core.local_search import improve_tree, improve_tree_reference
@@ -45,7 +56,8 @@ from repro.core.lp_prune import LPCommunicationGraphPruning
 from repro.core.multiport_grow import MultiPortGrowingTree
 from repro.core.prune_refined import RefinedPlatformPruning
 from repro.analysis.makespan import pipelined_makespan, pipelined_makespan_reference
-from repro.lp.solver import solve_steady_state_lp
+from repro.lp.formulation import build_collective_lp
+from repro.lp.solver import solve_collective_lp, solve_steady_state_lp
 from repro.models.port_models import MultiPortModel
 from repro.platform.graph import Platform
 from repro.platform.link import Link
@@ -225,6 +237,94 @@ def bench_heuristics(platforms, rounds, lp_max_nodes) -> dict:
     return results
 
 
+#: Relative tolerance of the production-vs-default ``TP`` check.
+LP_TP_RTOL = 1e-9
+
+_KINDS = ("broadcast", "multicast", "reduce", "scatter")
+
+#: Random platforms use ``cold_lp``'s seed scheme (``4242 * 10_000 + i``).
+LP_SEED = 4242
+
+
+def lp_shapes(quick: bool) -> dict[str, list[tuple[PlatformRecipe, CollectiveSpec]]]:
+    """Row name -> the (platform recipe, collective) LPs it times."""
+
+    def spec(kind: str, num_nodes: int) -> CollectiveSpec:
+        half = tuple(range(1, num_nodes, 2)) if kind == "multicast" else None
+        return CollectiveSpec(kind, 0, half)
+
+    def random(num_nodes: int, count: int, kinds):
+        return [
+            (
+                PlatformRecipe.of(
+                    "random",
+                    num_nodes=num_nodes,
+                    density=0.2,
+                    seed=LP_SEED * 10_000 + index,
+                ),
+                spec(kind, num_nodes),
+            )
+            for index in range(count)
+            for kind in kinds
+        ]
+
+    def tiers(size: int):
+        recipe = PlatformRecipe.of("tiers", size=size, seed=1)
+        return [(recipe, spec(kind, size)) for kind in _KINDS]
+
+    return {
+        "random-n20": random(20, 3 if quick else 20, ("broadcast", "multicast")),
+        "random-n30": random(30, 1 if quick else 4, ("broadcast",)),
+        "tiers-n30": tiers(30),
+        "tiers-n65": tiers(65),
+    }
+
+
+def bench_lp_solve(quick: bool) -> dict:
+    results = {}
+    for name, problems in lp_shapes(quick).items():
+        production_seconds = default_seconds = 0.0
+        worst = 0.0
+        for recipe, spec in problems:
+            platform = recipe.build()
+            # The solution records its own HiGHS seconds (assembly and
+            # extraction excluded), comparable to the bare linprog below.
+            solution = solve_collective_lp(platform, spec)
+            effective_platform, effective_spec = effective_problem(platform, spec)
+            data = build_collective_lp(effective_platform, effective_spec)
+            seconds, reference = best_of(
+                1,
+                lambda: optimize.linprog(
+                    c=data.objective,
+                    A_ub=data.a_ub,
+                    b_ub=data.b_ub,
+                    A_eq=data.a_eq,
+                    b_eq=data.b_eq,
+                    bounds=data.bounds,
+                    method="highs",
+                ),
+            )
+            check(reference.success, f"default linprog failed on {name}")
+            expected = float(reference.x[data.index.throughput])
+            relative = abs(solution.throughput - expected) / abs(expected)
+            check(
+                relative <= LP_TP_RTOL,
+                f"lp_solve {name} ({spec.kind.value}): production TP "
+                f"{solution.throughput!r} vs default {expected!r}",
+            )
+            worst = max(worst, relative)
+            production_seconds += solution.solve_seconds
+            default_seconds += seconds
+        results[name] = {
+            "lps": len(problems),
+            "default_seconds": round(default_seconds, 4),
+            "production_seconds": round(production_seconds, 4),
+            "speedup": round(default_seconds / production_seconds, 2),
+            "tp_max_rel_diff": worst,
+        }
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -263,6 +363,7 @@ def main(argv=None) -> int:
         "makespan": bench_makespan(kernel_platforms, slice_counts, rounds),
         "simulation": bench_simulation(kernel_platforms, slice_counts, rounds),
         "heuristics": bench_heuristics(heuristic_platforms, rounds, lp_max_nodes),
+        "lp_solve": bench_lp_solve(args.quick),
     }
     args.output.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(record, indent=2))

@@ -30,6 +30,7 @@ and persists the payloads into the result cache.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from dataclasses import replace
 from typing import Any, Iterable
@@ -54,6 +55,7 @@ from ..runtime import (
     TaskExecutor,
     TaskFailure,
     approx_nbytes,
+    is_retryable,
     make_executor,
     stable_key,
 )
@@ -76,6 +78,39 @@ def _tree_nbytes(tree: "BroadcastTree") -> int:
     total = approx_nbytes(tree.parents) + approx_nbytes(tree.routes)
     for view in tree.__dict__.get("_compiled_tree_cache", {}).values():
         total += view.nbytes
+    return total
+
+
+def _simulation_nbytes(sim: SimulationResult) -> int:
+    """Simulation cache charge, equal to ``approx_nbytes(sim)`` in O(nodes).
+
+    The generic walk visits every arrival float; here each arrival list is
+    charged as its ``sys.getsizeof`` plus one float per slice, which is what
+    the walk adds up for a list of floats.  Arrival lists are homogeneous
+    (``tolist()`` of a float array, or engine times), so their end items
+    stand for the whole list.  Traced results, and arrival lists of any
+    other element type, take the walk itself.
+    """
+    arrivals = sim.arrival_times
+    if len(sim.trace) or type(arrivals) is not dict:
+        return approx_nbytes(sim)
+    fields = sim.__dict__
+    total = sys.getsizeof(sim) + sys.getsizeof(fields) + sys.getsizeof(arrivals)
+    for name, value in fields.items():
+        total += sys.getsizeof(name)
+        if value is not arrivals:
+            total += approx_nbytes(value, max_depth=2)
+    float_size = sys.getsizeof(0.0)
+    seen: set[int] = set()
+    for node, times in arrivals.items():
+        if type(times) is not list or (
+            times and (type(times[0]) is not float or type(times[-1]) is not float)
+        ):
+            return approx_nbytes(sim)
+        total += approx_nbytes(node, max_depth=1)
+        if id(times) not in seen:  # the walk charges a shared list once
+            seen.add(id(times))
+            total += sys.getsizeof(times) + float_size * len(times)
     return total
 
 
@@ -190,7 +225,9 @@ class Session:
         self._trees: BoundedCache = bounded("trees", sizeof=_tree_nbytes)
         self._reports: BoundedCache = bounded("reports")
         self._makespans: BoundedCache = bounded("makespans")
-        self._simulations: BoundedCache = bounded("simulations")
+        self._simulations: BoundedCache = bounded(
+            "simulations", sizeof=_simulation_nbytes
+        )
         self._payloads: BoundedCache = bounded("payloads")
         # Metric-key count at last persist per job; metrics only ever grow
         # (setdefault), so an unchanged count means nothing new to write.
@@ -251,7 +288,10 @@ class Session:
         :class:`~repro.runtime.RetryPolicy`: transient failures (injected or
         organic) are retried with backoff, hung tasks are timed out, and a
         crashed worker process is respawned once before the surviving items
-        fall back to in-process execution.
+        fall back to in-process execution.  Model verdicts (a simulation,
+        tree, heuristic, platform or configuration error computed from the
+        job alone) fail on the first attempt; see
+        :func:`~repro.runtime.is_retryable`.
 
         ``on_error`` selects what a *permanent* failure does:
 
@@ -865,8 +905,6 @@ class Session:
         service's ``/statz`` endpoint reports and its soak test asserts.
         Use :meth:`cache_info` when only entry counts are needed.
         """
-        import sys as _sys
-
         compiled_views = 0
         compiled_bytes = 0
         for platform, _ in self._platforms.values():
@@ -882,8 +920,8 @@ class Session:
                 tree_views += 1
                 tree_bytes += ctree.nbytes
         payload_bytes = sum(
-            _sys.getsizeof(payload)
-            + sum(_sys.getsizeof(k) + _sys.getsizeof(v) for k, v in payload.items())
+            sys.getsizeof(payload)
+            + sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in payload.items())
             for payload in self._payloads.values()
         )
         lp_stats = (
@@ -1096,7 +1134,7 @@ class _WarmDispatch:
                     except Exception as exc:
                         attempts += 1
                         error = exc
-                        if attempts <= policy.retries:
+                        if attempts <= policy.retries and is_retryable(exc):
                             time.sleep(policy.delay(attempts - 1, label))
                             future = pool.submit(
                                 _solve_job_group_warm,

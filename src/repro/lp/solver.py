@@ -1,10 +1,17 @@
 """Solving the steady-state broadcast LP with SciPy's HiGHS backend.
 
 The paper solves the program with Maple / MuPad; this reproduction uses
-``scipy.optimize.linprog`` (interior point / simplex via HiGHS), which
-handles the sparse programs produced by
-:func:`repro.lp.formulation.build_steady_state_lp` for all platform sizes of
-the evaluation (up to 65 nodes, a few hundred edges) in well under a second.
+``scipy.optimize.linprog`` with HiGHS on the sparse programs produced by
+:func:`repro.lp.formulation.build_steady_state_lp`.  The production solve is
+HiGHS dual simplex with *devex* pricing: the multi-commodity programs are
+highly degenerate, and HiGHS's default steepest-edge pricing pays for weight
+updates on every one of ~1000 iterations, where devex needs fewer and much
+cheaper ones.  The optimum ``TP`` is the same; the optimal vertex (edge
+counts and flows) may differ.  Solve times grow quickly with the platform
+and vary widely between platforms of one shape: tens of milliseconds at 20
+nodes, but 0.2-16 s with the default pricing (0.2-1.3 s with devex) on
+30-node random platforms of density 0.2 (2-CPU x86-64 host; the
+``lp_solve`` rows of ``BENCH_hotpaths.json`` track these shapes).
 
 The module also provides :func:`optimal_throughput`, a light-weight helper
 for callers that only need the MTP reference value, and an in-memory
@@ -43,11 +50,16 @@ Edge = tuple[NodeName, NodeName]
 #: Flows below this value are considered numerical noise and dropped.
 _FLOW_TOLERANCE = 1e-9
 
-#: Alternate ``linprog`` methods tried (in order, after the requested one)
-#: before a failed solve becomes an :class:`InfeasibleLPError`.  The chain
-#: covers transient numerical trouble: HiGHS auto-choice, then dual simplex,
-#: then interior point.
-_METHOD_FALLBACKS = ("highs", "highs-ds", "highs-ipm")
+#: The production method: HiGHS dual simplex with devex pricing (see the
+#: module docstring).  Not a ``linprog`` method name: :func:`_run_linprog`
+#: maps it onto ``highs-ds`` with the devex pricing option.
+_DEVEX = "highs-ds-devex"
+
+#: Methods tried (in order, after the requested one) before a failed solve
+#: becomes an :class:`InfeasibleLPError`.  The chain covers transient
+#: numerical trouble: devex dual simplex, then HiGHS's default choice
+#: (steepest-edge dual simplex), then interior point.
+_METHOD_FALLBACKS = (_DEVEX, "highs", "highs-ipm")
 
 #: ``linprog`` status codes that describe the *model*, not the solver run:
 #: 2 = infeasible, 3 = unbounded.  Retrying another method cannot change
@@ -72,6 +84,9 @@ def _run_linprog(
         from ..faults import maybe_fail_solver
 
         maybe_fail_solver(attempt)
+    options = None
+    if method == _DEVEX:
+        method, options = "highs-ds", {"simplex_dual_edge_weight_strategy": "devex"}
     return optimize.linprog(
         c=data.objective,
         A_ub=data.a_ub,
@@ -80,6 +95,7 @@ def _run_linprog(
         b_eq=data.b_eq,
         bounds=data.bounds,
         method=method,
+        options=options,
     )
 
 
@@ -167,7 +183,7 @@ def solve_steady_state_lp(
     source: NodeName,
     size: float | None = None,
     *,
-    method: str = "highs",
+    method: str = _DEVEX,
 ) -> SteadyStateSolution:
     """Solve the broadcast ``SSB(G)`` and return the full solution.
 
@@ -181,8 +197,10 @@ def solve_steady_state_lp(
         Message-slice size used for the edge occupation times; defaults to
         the platform slice size.
     method:
-        ``scipy.optimize.linprog`` method; the default HiGHS solver is both
-        the fastest and the most robust choice.
+        Method tried first, before the fallback chain: a
+        ``scipy.optimize.linprog`` method, or the default
+        ``"highs-ds-devex"`` (HiGHS dual simplex with devex pricing, the
+        fastest choice on these programs).
     """
     return solve_collective_lp(
         platform, CollectiveSpec.broadcast(source), size, method=method
@@ -194,7 +212,7 @@ def solve_collective_lp(
     spec: CollectiveSpec,
     size: float | None = None,
     *,
-    method: str = "highs",
+    method: str = _DEVEX,
 ) -> SteadyStateSolution:
     """Solve the steady-state LP of any :class:`CollectiveSpec`.
 

@@ -65,9 +65,14 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
 
 from .exceptions import (
+    ConfigError,
     ExperimentError,
+    HeuristicError,
     JobFailedError,
+    PlatformError,
+    SimulationError,
     TaskTimeoutError,
+    TreeError,
     WorkerCrashError,
 )
 
@@ -81,6 +86,7 @@ __all__ = [
     "available_backends",
     "make_executor",
     "RetryPolicy",
+    "is_retryable",
     "TaskFailure",
     "TaskOutcome",
     "BoundedCache",
@@ -407,6 +413,22 @@ class RetryPolicy:
         return cls(**{name: data[name] for name in cls.__dataclass_fields__ if name in data})
 
 
+#: Errors computed from the job alone: an invalid platform, tree or
+#: configuration, a heuristic that cannot build, a schedule the simulator
+#: rejects.  Another attempt fails identically, so they are never retried.
+_MODEL_VERDICTS = (SimulationError, TreeError, HeuristicError, PlatformError, ConfigError)
+
+
+def is_retryable(error: BaseException) -> bool:
+    """Whether another attempt of a task that raised ``error`` could succeed.
+
+    Model verdicts (see ``_MODEL_VERDICTS``) fail on their first attempt;
+    everything else keeps the retry budget: injected faults, timeouts,
+    worker crashes, LP failures and exceptions from outside the library.
+    """
+    return not isinstance(error, _MODEL_VERDICTS)
+
+
 @dataclass(frozen=True)
 class TaskFailure:
     """Structured, serializable record of one permanently-failed task."""
@@ -557,7 +579,8 @@ class SupervisedExecutor:
     :meth:`map` is a drop-in for the inner executor's ``map`` — same
     order-preserving value stream — except that transient failures are
     retried under the :class:`RetryPolicy` before the (original) exception
-    propagates.  :meth:`map_outcomes` never raises: each task yields a
+    propagates.  Model verdicts are not transient: they fail on the first
+    attempt (see :func:`is_retryable`).  :meth:`map_outcomes` never raises: each task yields a
     :class:`TaskOutcome` holding either its value or a permanent
     :class:`TaskFailure` record, which is what ``--keep-going`` campaigns
     and ``solve_many(on_error="collect")`` consume.
@@ -644,7 +667,10 @@ class SupervisedExecutor:
         start_attempt: int,
         prior: BaseException | None,
     ) -> TaskOutcome:
-        """Run attempts ``start_attempt..retries`` in-process; never raises."""
+        """Run attempts ``start_attempt..retries`` in-process; never raises.
+
+        A model verdict ends the loop at once (see :func:`is_retryable`).
+        """
         policy = self.policy
         last = prior
         used = start_attempt
@@ -660,6 +686,8 @@ class SupervisedExecutor:
             except Exception as exc:
                 last = exc
                 used = attempt + 1
+                if not is_retryable(exc):
+                    break
         assert last is not None
         return TaskOutcome(
             index,
@@ -694,7 +722,7 @@ class SupervisedExecutor:
         # (keeping custom in-process executors on their own code path);
         # retries are the exceptional path and run here, serially.
         for outcome in self.inner.map(guarded, list(enumerate(tasks))):
-            if outcome.ok or policy.retries == 0:
+            if outcome.ok or policy.retries == 0 or not is_retryable(outcome.exception):
                 yield outcome
                 continue
             yield self._attempt_loop(
@@ -770,7 +798,7 @@ class SupervisedExecutor:
                     error = exc
                 # Timeout, organic failure, or an unhealthy pool: remaining
                 # attempts run in-process (degradation semantics).
-                if attempts[index] <= policy.retries:
+                if attempts[index] <= policy.retries and is_retryable(error):
                     yield self._attempt_loop(
                         index, function, tasks[index], labels[index],
                         attempts[index], error,
@@ -877,7 +905,7 @@ class SupervisedExecutor:
                     # in-process while the pool keeps draining later tasks —
                     # a retry resubmitted behind busy workers would have its
                     # queue *wait*, not its work, counted against the timeout.
-                    if attempts[index] <= policy.retries:
+                    if attempts[index] <= policy.retries and is_retryable(error):
                         yield self._attempt_loop(
                             index, function, tasks[index], labels[index],
                             attempts[index], error,

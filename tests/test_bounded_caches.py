@@ -243,6 +243,76 @@ class TestBoundedResultCacheMemory:
 
 
 # --------------------------------------------------------------------------- #
+# Simulation cache charge: closed form == the generic walk
+# --------------------------------------------------------------------------- #
+class TestSimulationNbytes:
+    @staticmethod
+    def _simulations():
+        from repro.collectives import CollectiveSpec
+        from repro.core.binomial import BinomialTreeHeuristic
+        from repro.core.grow_tree import GrowingMinimumOutDegreeTree
+        from repro.simulation.collective import simulate_collective
+
+        platform = generate_random_platform(9, 0.35, seed=4)
+        direct = GrowingMinimumOutDegreeTree().build(platform, 0)
+        routed = BinomialTreeHeuristic().build(platform, 0)
+        broadcast = CollectiveSpec.broadcast(0)
+        scatter = CollectiveSpec("scatter", 0)
+
+        def run(tree, spec, **options):
+            options.setdefault("record_trace", False)
+            return simulate_collective(tree, spec, 30, **options)
+
+        return {
+            "broadcast": run(direct, broadcast),
+            "broadcast-routed": run(routed, broadcast),
+            "broadcast-greedy": run(direct, broadcast, policy="greedy"),
+            "scatter": run(direct, scatter),
+            "multi-port": run(direct, broadcast, model="multi-port"),
+            "multi-port-scatter": run(direct, scatter, model="multi-port"),
+            "traced": run(direct, broadcast, record_trace=True),
+            "traced-routed": run(routed, broadcast, record_trace=True),
+        }
+
+    def test_closed_form_equals_the_walk(self):
+        from repro.api.session import _simulation_nbytes
+
+        simulations = self._simulations()
+        assert len(simulations["traced"].trace) > 0
+        for name, sim in simulations.items():
+            assert _simulation_nbytes(sim) == approx_nbytes(sim), name
+
+    def test_session_charges_match_the_walk(self):
+        from repro.api.session import _simulation_nbytes
+
+        # sys.getsizeof of an instance __dict__ can drift as later instances
+        # of the class appear, so compare both charges at insert time.
+        session = Session()
+        assert session._simulations._sizeof is _simulation_nbytes
+        charges: list[tuple[int, int]] = []
+
+        def both(sim):
+            charges.append((_simulation_nbytes(sim), approx_nbytes(sim)))
+            return charges[-1][0]
+
+        session._simulations._sizeof = both
+        recipe = PlatformRecipe.of("random", num_nodes=9, density=0.35, seed=4)
+        jobs = [
+            Job.of_collective(
+                recipe, kind, 0, None, heuristic=heuristic, model=model,
+                simulate=True, num_slices=20,
+            )
+            for kind in ("broadcast", "scatter")
+            for heuristic in ("grow-tree", "binomial")
+            for model in ("one-port", "multi-port")
+        ]
+        session.solve_many(jobs, on_error="collect")
+        assert len(charges) >= 6
+        assert all(closed == walk for closed, walk in charges), charges
+        assert session._simulations.stats()["bytes"] == sum(c for c, _ in charges)
+
+
+# --------------------------------------------------------------------------- #
 # Byte-budgeted sessions
 # --------------------------------------------------------------------------- #
 class TestBoundedSession:

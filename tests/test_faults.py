@@ -37,9 +37,14 @@ from repro.collectives import CollectiveSpec
 from repro.exceptions import (
     ConfigError,
     ExperimentError,
+    HeuristicError,
     JobFailedError,
+    LPError,
+    PlatformError,
     ReproError,
+    SimulationError,
     TaskTimeoutError,
+    TreeError,
 )
 from repro.experiments import (
     EvaluationPipeline,
@@ -60,8 +65,9 @@ from repro.faults import (
     classify_task,
     inject_faults,
 )
+import repro.runtime as runtime
 from repro.runtime import ResultCache as RuntimeResultCache
-from repro.runtime import SupervisedExecutor, stable_key
+from repro.runtime import SupervisedExecutor, is_retryable, stable_key
 
 
 # --------------------------------------------------------------------------- #
@@ -286,6 +292,97 @@ class TestSupervisionUnderInjection:
 
 
 # --------------------------------------------------------------------------- #
+# Model verdicts fail on the first attempt; everything else is retried
+# --------------------------------------------------------------------------- #
+def _raise_simulation_error(item):
+    """Module-level (picklable) task failing with a model verdict."""
+    raise SimulationError(f"verdict for {item}")
+
+
+class TestModelVerdictsAreNotRetried:
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        calls: list[float] = []
+        monkeypatch.setattr(runtime.time, "sleep", calls.append)
+        return calls
+
+    @staticmethod
+    def _failing(error: Exception):
+        calls: list[int] = []
+
+        def task(item):
+            calls.append(item)
+            raise error
+
+        return task, calls
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            SimulationError("routed"),
+            TreeError("cycle"),
+            HeuristicError("stuck"),
+            PlatformError("bad link"),
+            ConfigError("bad value"),
+        ],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_verdicts_fail_once_without_backoff(self, error, sleeps):
+        task, calls = self._failing(error)
+        supervisor = SupervisedExecutor(SerialExecutor())  # default policy
+        (outcome,) = supervisor.map_outcomes(task, [1])
+        assert not is_retryable(error)
+        assert calls == [1]
+        assert outcome.failure.attempts == 1
+        assert outcome.exception is error
+        assert sleeps == []
+
+    @pytest.mark.parametrize(
+        "error",
+        [LPError("solver trouble"), ReproError("unknown"), ValueError("outside")],
+        ids=lambda error: type(error).__name__,
+    )
+    def test_other_failures_keep_the_retry_budget(self, error, sleeps):
+        task, calls = self._failing(error)
+        supervisor = SupervisedExecutor(SerialExecutor())
+        (outcome,) = supervisor.map_outcomes(task, [1])
+        assert is_retryable(error)
+        assert calls == [1, 1, 1]
+        assert outcome.failure.attempts == 3
+        assert len(sleeps) == 2
+
+    def test_faults_timeouts_and_crashes_stay_retryable(self):
+        from repro.exceptions import WorkerCrashError
+
+        for error in (
+            InjectedWorkerError("x"),
+            InjectedCrashError("x"),
+            TaskTimeoutError("x"),
+            WorkerCrashError("x"),
+        ):
+            assert is_retryable(error)
+
+    def test_session_simulation_error_job_fails_on_first_attempt(self, sleeps):
+        recipe = PlatformRecipe.of("random", num_nodes=7, density=0.35, seed=1)
+        job = Job.of_collective(
+            recipe, "scatter", 0, None, heuristic="binomial", simulate=True
+        )
+        session = Session()
+        assert session.retry_policy == RetryPolicy()
+        (result,) = session.solve_many([job], on_error="collect")
+        assert result.error.error_type == "SimulationError"
+        assert result.error.attempts == 1
+        assert sleeps == []
+
+    def test_process_pool_verdict_is_not_resubmitted(self, sleeps):
+        supervisor = SupervisedExecutor(ProcessExecutor(1), fault_hook=False)
+        (outcome,) = supervisor.map_outcomes(_raise_simulation_error, [7])
+        assert outcome.failure.error_type == "SimulationError"
+        assert outcome.failure.attempts == 1
+        assert sleeps == []
+
+
+# --------------------------------------------------------------------------- #
 # LP solver: transient failures recovered by the method-fallback chain
 # --------------------------------------------------------------------------- #
 class TestSolverFallback:
@@ -301,7 +398,13 @@ class TestSolverFallback:
     def test_method_chain_starts_with_the_request_without_duplicates(self):
         from repro.lp.solver import _method_chain
 
-        assert _method_chain("highs") == ("highs", "highs-ds", "highs-ipm")
+        # Production: devex dual simplex, then HiGHS's default, then IPM.
+        assert _method_chain("highs-ds-devex") == (
+            "highs-ds-devex",
+            "highs",
+            "highs-ipm",
+        )
+        assert _method_chain("highs") == ("highs", "highs-ds-devex", "highs-ipm")
         chain = _method_chain("highs-ds")
         assert chain[0] == "highs-ds"
         assert len(chain) == len(set(chain))

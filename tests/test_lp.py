@@ -148,3 +148,69 @@ class TestLPHeuristics:
         a = heuristic_cls().build(small_random_platform, 0, lp_solution=solution)
         b = heuristic_cls().build(small_random_platform, 0, lp_solution=solution)
         assert a.same_structure_as(b)
+
+
+# --------------------------------------------------------------------------- #
+# Production solve (devex dual simplex) vs HiGHS's default choice
+# --------------------------------------------------------------------------- #
+_SMALL_RECIPES = {
+    "random": {"num_nodes": 8, "density": 0.4, "seed": 2},
+    "tiers": {"size": 30, "seed": 2},
+    "cluster": {"num_clusters": 3, "cluster_size": 3, "seed": 2},
+    "star": {"num_nodes": 6, "seed": 2},
+    "ring": {"num_nodes": 6, "seed": 2},
+    "grid": {"rows": 2, "cols": 3, "seed": 2},
+    "hypercube": {"dimension": 3, "seed": 2},
+    "complete": {"num_nodes": 5, "seed": 2},
+}
+
+
+class TestProductionSolve:
+    @pytest.mark.parametrize(
+        "kind", ["broadcast", "multicast", "scatter", "reduce", "gather"]
+    )
+    @pytest.mark.parametrize("generator", sorted(_SMALL_RECIPES))
+    def test_matches_default_highs_and_is_feasible(
+        self, generator, kind, monkeypatch
+    ):
+        import numpy as np
+        from scipy import optimize
+
+        import repro.lp.solver as solver
+        from repro.api import PLATFORM_GENERATORS
+        from repro.collectives import CollectiveSpec
+
+        platform = PLATFORM_GENERATORS[generator](**_SMALL_RECIPES[generator])
+        spec = CollectiveSpec(kind, 0, (1, 3) if kind == "multicast" else None)
+        calls = []
+        real = solver._run_linprog
+
+        def spy(data, method, attempt):
+            outcome = real(data, method, attempt)
+            calls.append((data, method, outcome))
+            return outcome
+
+        monkeypatch.setattr(solver, "_run_linprog", spy)
+        solution = solver.solve_collective_lp(platform, spec)
+
+        (data, method, outcome), = calls  # the first method succeeded
+        assert method == "highs-ds-devex"
+        reference = optimize.linprog(
+            c=data.objective,
+            A_ub=data.a_ub,
+            b_ub=data.b_ub,
+            A_eq=data.a_eq,
+            b_eq=data.b_eq,
+            bounds=data.bounds,
+            method="highs",
+        )
+        assert reference.success
+        expected = reference.x[data.index.throughput]
+        assert solution.throughput == pytest.approx(expected, rel=1e-9, abs=0)
+
+        x = np.asarray(outcome.x)
+        assert np.abs(data.a_eq @ x - data.b_eq).max(initial=0.0) <= 1e-7
+        assert (data.a_ub @ x - data.b_ub).max(initial=0.0) <= 1e-7
+        lower = np.array([low for low, _ in data.bounds])
+        upper = np.array([np.inf if high is None else high for _, high in data.bounds])
+        assert (lower - x).max() <= 1e-7 and (x - upper).max() <= 1e-7

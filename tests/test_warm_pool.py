@@ -324,6 +324,23 @@ class TestSessionOverWarmPool:
                 r.failure.error_type == "InjectedWorkerError" for r in results
             )
 
+    def test_group_verdict_is_not_resubmitted(self, monkeypatch):
+        import repro.api.session as session_module
+        from repro.exceptions import SimulationError
+
+        sleeps: list[float] = []
+        monkeypatch.setattr(session_module.time, "sleep", sleeps.append)
+        job = Job.of_collective(
+            PlatformRecipe.of("random", num_nodes=7, density=0.35, seed=1),
+            "scatter", 0, None, heuristic="binomial", simulate=True,
+        )
+        with Session(jobs=1, backend="warm-pool") as session:
+            with pytest.raises(SimulationError, match="direct tree"):
+                session.solve_many([job])
+            pool = session.cache_stats()["workers"]["pool"]
+        assert (pool["completed"], pool["failed"]) == (0, 1)  # one submission
+        assert sleeps == []
+
     def test_solve_many_async_matches_sync(self, serial_results):
         jobs, expected = serial_results
         with Session(jobs=2, backend="warm-pool") as session:
