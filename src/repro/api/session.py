@@ -91,9 +91,9 @@ def _simulation_nbytes(sim: SimulationResult) -> int:
     stand for the whole list.  Traced results, and arrival lists of any
     other element type, take the walk itself.
     """
-    arrivals = sim.arrival_times
-    if len(sim.trace) or type(arrivals) is not dict:
+    if len(sim.trace):
         return approx_nbytes(sim)
+    arrivals = sim.arrival_times
     fields = sim.__dict__
     total = sys.getsizeof(sim) + sys.getsizeof(fields) + sys.getsizeof(arrivals)
     for name, value in fields.items():
@@ -101,16 +101,11 @@ def _simulation_nbytes(sim: SimulationResult) -> int:
         if value is not arrivals:
             total += approx_nbytes(value, max_depth=2)
     float_size = sys.getsizeof(0.0)
-    seen: set[int] = set()
     for node, times in arrivals.items():
-        if type(times) is not list or (
-            times and (type(times[0]) is not float or type(times[-1]) is not float)
-        ):
+        if times and (type(times[0]) is not float or type(times[-1]) is not float):
             return approx_nbytes(sim)
         total += approx_nbytes(node, max_depth=1)
-        if id(times) not in seen:  # the walk charges a shared list once
-            seen.add(id(times))
-            total += sys.getsizeof(times) + float_size * len(times)
+        total += sys.getsizeof(times) + float_size * len(times)
     return total
 
 
