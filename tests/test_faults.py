@@ -45,6 +45,7 @@ from repro.exceptions import (
     SimulationError,
     TaskTimeoutError,
     TreeError,
+    WorkerCrashError,
 )
 from repro.experiments import (
     EvaluationPipeline,
@@ -65,7 +66,7 @@ from repro.faults import (
     classify_task,
     inject_faults,
 )
-import repro.runtime as runtime
+from repro import runtime
 from repro.runtime import ResultCache as RuntimeResultCache
 from repro.runtime import SupervisedExecutor, is_retryable, stable_key
 
@@ -339,7 +340,15 @@ class TestModelVerdictsAreNotRetried:
 
     @pytest.mark.parametrize(
         "error",
-        [LPError("solver trouble"), ReproError("unknown"), ValueError("outside")],
+        [
+            LPError("solver trouble"),
+            ReproError("unknown"),
+            ValueError("outside"),
+            InjectedWorkerError("fault"),
+            InjectedCrashError("crash"),
+            TaskTimeoutError("hang"),
+            WorkerCrashError("died"),
+        ],
         ids=lambda error: type(error).__name__,
     )
     def test_other_failures_keep_the_retry_budget(self, error, sleeps):
@@ -350,17 +359,6 @@ class TestModelVerdictsAreNotRetried:
         assert calls == [1, 1, 1]
         assert outcome.failure.attempts == 3
         assert len(sleeps) == 2
-
-    def test_faults_timeouts_and_crashes_stay_retryable(self):
-        from repro.exceptions import WorkerCrashError
-
-        for error in (
-            InjectedWorkerError("x"),
-            InjectedCrashError("x"),
-            TaskTimeoutError("x"),
-            WorkerCrashError("x"),
-        ):
-            assert is_retryable(error)
 
     def test_session_simulation_error_job_fails_on_first_attempt(self, sleeps):
         recipe = PlatformRecipe.of("random", num_nodes=7, density=0.35, seed=1)
