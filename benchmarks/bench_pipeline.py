@@ -3,15 +3,15 @@
 Measures, and records into ``BENCH_pipeline.json`` (repo root by default):
 
 * **ensemble throughput** — wall-clock of a 200-platform random ensemble
-  evaluated serially vs. the per-``map`` :class:`ProcessExecutor` vs. the
-  persistent :class:`~repro.pool.WarmPoolExecutor` (workers pre-spawned,
-  spawn time recorded separately), plus the replay time from a warm
-  on-disk cache; the serial and pool record streams are verified
-  bit-identical (timing fields excluded).
+  evaluated serially vs. the persistent
+  :class:`~repro.pool.WarmPoolExecutor` (workers pre-spawned, spawn time
+  recorded separately), plus the replay time from a warm on-disk cache;
+  the serial and pool record streams are verified bit-identical (timing
+  fields excluded).
 * **dispatch overhead** — per-task cost of shipping a trivial task through
-  the warm pool (amortized over its lifetime) vs. the fresh-pool-per-map
-  :class:`ProcessExecutor`; the ``reduction`` ratio is what ROADMAP item 3
-  claims back.
+  the warm pool (amortized over its lifetime) vs. a fresh stdlib
+  :class:`concurrent.futures.ProcessPoolExecutor` per ``map`` call; the
+  ``reduction`` ratio is the start-up cost warm workers amortize away.
 * **LP assembly** — the vectorised, compiled-array assembly of the
   steady-state LP (:func:`build_steady_state_lp`) vs. the per-edge loop
   reference (:func:`build_steady_state_lp_reference`).
@@ -21,8 +21,8 @@ Run it as a script::
     PYTHONPATH=src python benchmarks/bench_pipeline.py [--jobs 4]
         [--platforms 200] [--output BENCH_pipeline.json] [--quick]
 
-``--quick`` (the CI mode) shrinks the ensemble and skips the process-pool
-ensemble arm and the LP-assembly sweep; it always asserts serial↔warm-pool
+``--quick`` (the CI mode) shrinks the ensemble and skips the cache-replay
+timing and the LP-assembly sweep; it always asserts serial↔warm-pool
 bit-identity, and asserts the >= 1.8x warm-pool speedup only when the host
 actually has >= 2 CPUs — on single-core hosts the ratio is recorded as an
 honest (unflattering) data point instead.  The full run additionally
@@ -38,6 +38,7 @@ import os
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -53,7 +54,7 @@ LP_CASES = {"20-nodes": (20, 0.15), "30-nodes": (30, 0.12), "50-nodes": (50, 0.0
 
 #: Minimum warm-pool ensemble speedup asserted on multi-core hosts.
 MIN_POOL_SPEEDUP = 1.8
-#: Minimum per-task dispatch-overhead reduction vs the per-map process pool.
+#: Minimum per-task dispatch-overhead reduction vs a fresh pool per map.
 MIN_DISPATCH_REDUCTION = 5.0
 
 
@@ -112,58 +113,51 @@ def bench_warm_pool(parameters, jobs: int, serial: tuple[list, float]) -> dict:
 
 
 def bench_dispatch(jobs: int, tasks: int = 16, rounds: int = 3) -> dict:
-    """Per-task dispatch overhead: warm pool vs fresh-pool-per-map executor.
+    """Per-task dispatch overhead: warm pool vs a fresh pool per ``map``.
 
-    Both executors round-trip the same trivial echo task, so the entire
-    measured time is dispatch machinery — for :class:`ProcessExecutor`
-    that includes the fresh ``ProcessPoolExecutor`` it spins up per
-    ``map`` call, which is exactly the overhead warm workers amortize
-    away.
+    Both round-trip the same trivial echo task, so the entire measured time
+    is dispatch machinery — for the reference that includes spinning up a
+    fresh stdlib ``ProcessPoolExecutor`` per ``map`` call, which is exactly
+    the overhead warm workers amortize away.
     """
     from repro.pool import WarmPoolExecutor, _echo_probe
-    from repro.runtime import ProcessExecutor
 
     payload = list(range(tasks))
     with WarmPoolExecutor(jobs) as warm:
         warm.ensure_started()  # spawn cost is reported separately
         warm_best = min(
-            _timed_map(warm, _echo_probe, payload) for _ in range(rounds)
+            _timed_map(warm.map, _echo_probe, payload) for _ in range(rounds)
         )
-    process_best = min(
-        _timed_map(ProcessExecutor(jobs), _echo_probe, payload)
-        for _ in range(rounds)
+
+    def fresh_pool_map(function, items):
+        # The platform's default start method, as the recorded baselines
+        # used; spawn would inflate the reference and so the reduction.
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(function, items))
+
+    fresh_best = min(
+        _timed_map(fresh_pool_map, _echo_probe, payload) for _ in range(rounds)
     )
     return {
         "tasks": tasks,
         "rounds": rounds,
         "warm_per_task_seconds": round(warm_best / tasks, 6),
-        "process_per_task_seconds": round(process_best / tasks, 6),
-        "reduction": round(process_best / warm_best, 1),
+        "fresh_pool_per_task_seconds": round(fresh_best / tasks, 6),
+        "reduction": round(fresh_best / warm_best, 1),
     }
 
 
-def _timed_map(executor, function, tasks) -> float:
+def _timed_map(map_function, function, tasks) -> float:
     start = time.perf_counter()
-    results = list(executor.map(function, tasks))
+    results = list(map_function(function, tasks))
     seconds = time.perf_counter() - start
     assert results == list(tasks), "echo round-trip corrupted the payload"
     return seconds
 
 
-def bench_ensemble(parameters, jobs: int, serial: tuple[list, float]) -> dict:
-    """Process-pool arm and cache-replay timings of the random ensemble."""
+def bench_ensemble(parameters, serial: tuple[list, float]) -> dict:
+    """Cache-replay timing of the random ensemble."""
     serial_records, serial_seconds = serial
-
-    pipeline = EvaluationPipeline(jobs=jobs, backend="process")
-    start = time.perf_counter()
-    parallel = pipeline.evaluate("random", parameters)
-    parallel_seconds = time.perf_counter() - start
-    pipeline.close()
-
-    deterministic = [r.deterministic_payload() for r in serial_records] == [
-        r.deterministic_payload() for r in parallel
-    ]
-
     with tempfile.TemporaryDirectory(prefix="bench-pipeline-") as cache_dir:
         warm = EvaluationPipeline(cache_dir=cache_dir).evaluate("random", parameters)
         start = time.perf_counter()
@@ -175,13 +169,9 @@ def bench_ensemble(parameters, jobs: int, serial: tuple[list, float]) -> dict:
     return {
         "num_platforms": parameters.total_random_platforms,
         "num_records": len(serial_records),
-        "jobs": jobs,
         "serial_seconds": round(serial_seconds, 4),
-        "parallel_seconds": round(parallel_seconds, 4),
-        "parallel_speedup": round(serial_seconds / parallel_seconds, 3),
         "cache_replay_seconds": round(replay_seconds, 4),
         "cache_replay_speedup": round(serial_seconds / replay_seconds, 1),
-        "serial_parallel_identical": deterministic,
         "cache_replay_identical": replay_ok,
     }
 
@@ -264,9 +254,7 @@ def main(argv=None) -> int:
         "pool": pool,
     }
     if not args.quick:
-        record["ensemble"] = bench_ensemble(parameters, jobs, serial)
-        pool["process_seconds"] = record["ensemble"]["parallel_seconds"]
-        pool["process_speedup"] = record["ensemble"]["parallel_speedup"]
+        record["ensemble"] = bench_ensemble(parameters, serial)
         record["lp_assembly"] = bench_lp_assembly()
 
     args.output.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
@@ -275,8 +263,8 @@ def main(argv=None) -> int:
     failures = []
     if not pool["serial_warm_identical"]:
         failures.append("serial and warm-pool record streams differ")
-    if not args.quick and not record["ensemble"]["serial_parallel_identical"]:
-        failures.append("serial and process-pool record streams differ")
+    if not args.quick and not record["ensemble"]["cache_replay_identical"]:
+        failures.append("cache replay differs from the cached records")
     if pool["cpu_count"] >= 2 and pool["warm_speedup"] < MIN_POOL_SPEEDUP:
         failures.append(
             f"warm-pool speedup {pool['warm_speedup']}x is below the "

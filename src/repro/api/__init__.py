@@ -12,8 +12,8 @@ that sentence the API:
   through versioned JSON (:meth:`Job.to_json` / :meth:`Job.from_json`).
 * :class:`Session` — the engine.  It owns the LP solution cache, the
   shared platform instances (and thereby their compiled / reversed views),
-  the built trees, the two-level result cache and the serial / process
-  executors.  ``session.solve(job)`` returns a lazy :class:`Result`;
+  the built trees, the two-level result cache and the executor (serial,
+  or the warm worker pool).  ``session.solve(job)`` returns a lazy :class:`Result`;
   ``session.solve_many(jobs)`` fans a batch out through the same caches.
 * :class:`Result` — a lazy, memoized, serializable view: ``lp_bound``,
   ``tree``, ``throughput``, ``makespan``, ``simulation`` and

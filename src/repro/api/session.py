@@ -15,15 +15,15 @@ One :class:`Session` owns every piece of shared state a solve needs:
 * the **result cache** (:class:`~repro.runtime.ResultCache`): an in-memory
   plus optional on-disk store of materialized metric payloads, keyed by
   the job's canonical payload and the library version;
-* the **executor** (:class:`~repro.runtime.SerialExecutor` /
-  :class:`~repro.runtime.ProcessExecutor`): :meth:`Session.solve_many`
-  fans a batch out through it, so batch work and single solves share one
-  code path and one cache keying scheme.
+* the **executor** (:class:`~repro.runtime.SerialExecutor` or the warm
+  worker pool, :class:`~repro.pool.WarmPoolExecutor`):
+  :meth:`Session.solve_many` fans a batch out through it, so batch work and
+  single solves share one code path and one cache keying scheme.
 
 ``session.solve(job)`` is lazy — it returns a
 :class:`~repro.api.Result` immediately and computes on attribute access;
 ``session.solve_many(jobs)`` materializes every job's standard metric set
-(through worker processes when the session was built with ``jobs > 1``)
+(through warm worker processes when the session runs the warm pool)
 and persists the payloads into the result cache.
 """
 
@@ -47,7 +47,6 @@ from ..platform.graph import Platform
 from ..runtime import (
     BoundedCache,
     ByteBudget,
-    ProcessExecutor,
     ResultCache,
     RetryPolicy,
     SerialExecutor,
@@ -109,6 +108,26 @@ def _simulation_nbytes(sim: SimulationResult) -> int:
     return total
 
 
+def _pending_indices(batch: "list[Job]", results: "list[Result]") -> list[int]:
+    """Positions of the batch's unmaterialized jobs, one per cache key.
+
+    Equal jobs share one payload, so one representative per cache key is
+    enough (and worker processes must not each pay the full solve for the
+    same description).
+    """
+    pending: list[int] = []
+    dispatched: set[str] = set()
+    for i, result in enumerate(results):
+        if result.is_materialized():
+            continue
+        key = batch[i].cache_key()
+        if key in dispatched:
+            continue
+        dispatched.add(key)
+        pending.append(i)
+    return pending
+
+
 class Session:
     """See the module docstring; this is the facade's engine.
 
@@ -123,12 +142,12 @@ class Session:
     executor:
         Explicit executor instance (overrides ``jobs`` and ``backend``).
     backend:
-        Executor backend name (``"serial"`` / ``"process"`` /
-        ``"warm-pool"``; see :func:`~repro.runtime.make_executor`).  The
-        default ``None`` picks automatically: serial for ``jobs == 1``,
-        the warm worker pool for ``jobs > 1`` — except on single-CPU hosts,
-        where the call warns and runs the batched serial path instead of a
-        pool that could only lose.  Naming a backend forces it.
+        Executor backend name (``"serial"`` / ``"warm-pool"``; see
+        :func:`~repro.runtime.make_executor`).  The default ``None`` picks
+        automatically: serial for ``jobs == 1``, the warm worker pool for
+        ``jobs > 1`` — except on single-CPU hosts, where the call warns and
+        runs the batched serial path instead of a pool that could only
+        lose.  Naming a backend forces it.
     retry_policy:
         How :meth:`solve_many` supervises its tasks — per-attempt timeout,
         retry budget, backoff (see :class:`~repro.runtime.RetryPolicy`).
@@ -273,17 +292,18 @@ class Session:
     ) -> list[Result]:
         """Solve a batch of jobs, fanning out through the session executor.
 
-        Already-cached jobs are skipped; the remainder runs through
-        :class:`~repro.runtime.SerialExecutor` in-process or ships as JSON
-        to a :class:`~repro.runtime.ProcessExecutor` pool.  Either way the
-        metric payloads are bit-identical to sequential :meth:`solve` calls
-        (timing fields excepted) and end up in the session's result cache.
+        Already-cached jobs are skipped; the remainder runs in-process on
+        any non-pool executor, or ships as JSON job groups (one per
+        platform) to the warm worker pool.  Either way the metric payloads
+        are bit-identical to sequential :meth:`solve` calls (timing fields
+        excepted) and end up in the session's result cache.
 
         Tasks are supervised under the session's
         :class:`~repro.runtime.RetryPolicy`: transient failures (injected or
-        organic) are retried with backoff, hung tasks are timed out, and a
-        crashed worker process is respawned once before the surviving items
-        fall back to in-process execution.  Model verdicts (a simulation,
+        organic) are retried with backoff and hung tasks are timed out.  A
+        group whose warm worker crashes is resubmitted while the pool's
+        respawn budget lasts; once the pool is unhealthy the group runs
+        in-process (a degraded group).  Model verdicts (a simulation,
         tree, heuristic, platform or configuration error computed from the
         job alone) fail on the first attempt; see
         :func:`~repro.runtime.is_retryable`.
@@ -311,28 +331,12 @@ class Session:
         results = [self.solve(job) for job in batch]
         if not materialize:
             return results
-        # Deduplicate by job identity: equal jobs share one payload, so one
-        # representative per cache key is enough (and worker processes must
-        # not each pay the full solve for the same description).
-        pending = []
-        dispatched: set[str] = set()
-        for i, result in enumerate(results):
-            if result.is_materialized():
-                continue
-            key = batch[i].cache_key()
-            if key in dispatched:
-                continue
-            dispatched.add(key)
-            pending.append(i)
+        pending = _pending_indices(batch, results)
         failures: dict[str, TaskFailure] = {}
         if pending:
             if getattr(self.executor, "supervises_as_pool", False):
                 _WarmDispatch(self, batch, pending, on_error, policy).settle(
                     failures
-                )
-            elif isinstance(self.executor, ProcessExecutor):
-                self._solve_pending_process(
-                    batch, pending, on_error, failures, policy
                 )
             else:
                 self._solve_pending_inprocess(
@@ -370,16 +374,7 @@ class Session:
         policy = retry_policy if retry_policy is not None else self.retry_policy
         batch = list(jobs)
         results = [self.solve(job) for job in batch]
-        pending = []
-        dispatched: set[str] = set()
-        for i, result in enumerate(results):
-            if result.is_materialized():
-                continue
-            key = batch[i].cache_key()
-            if key in dispatched:
-                continue
-            dispatched.add(key)
-            pending.append(i)
+        pending = _pending_indices(batch, results)
         dispatch = (
             _WarmDispatch(self, batch, pending, on_error, policy)
             if pending
@@ -437,68 +432,6 @@ class Session:
             if on_error == "raise":
                 outcome.raise_if_failed()
             failures[labels[outcome.index]] = outcome.failure
-
-    def _solve_pending_process(
-        self,
-        batch: "list[Job]",
-        pending: "list[int]",
-        on_error: str,
-        failures: "dict[str, TaskFailure]",
-        policy: RetryPolicy,
-    ) -> None:
-        """Materialize pending jobs through the process pool.
-
-        Worker processes cannot pickle closures over this session: the
-        jobs ship as JSON and the metric payloads merge back.  Jobs are
-        grouped by platform so the whole group lands in one worker and its
-        shared LP is solved exactly once — scattering them would re-solve
-        it once per worker.  Per-job supervision (retries, timeouts,
-        fault hooks) happens *inside* the worker's own session; the
-        group-level supervision here only has to absorb whole-group
-        hazards — a worker crash breaking the pool — so it runs without a
-        task timeout (a group is many tasks long) and without the per-task
-        fault hook.
-        """
-        groups: dict[str, list[int]] = {}
-        for i in pending:
-            groups.setdefault(batch[i].platform_key(), []).append(i)
-        ordered = list(groups.values())
-        tasks = [
-            {
-                "jobs": [batch[i].to_json() for i in group],
-                "policy": policy.to_dict(),
-                "on_error": on_error,
-            }
-            for group in ordered
-        ]
-        labels = [f"group:{batch[group[0]].platform_key()}" for group in ordered]
-        supervisor = SupervisedExecutor(
-            self.executor,
-            replace(policy, task_timeout=None),
-            fault_hook=False,
-        )
-        outcomes = supervisor.map_outcomes(
-            _solve_job_group_json, tasks, labels=labels
-        )
-        for outcome in outcomes:
-            group = ordered[outcome.index]
-            if not outcome.ok:
-                if on_error == "raise":
-                    outcome.raise_if_failed()
-                # The whole group is lost (e.g. the pool broke repeatedly):
-                # charge the group failure to each of its jobs.
-                for i in group:
-                    failures[batch[i].cache_key()] = outcome.failure
-                continue
-            for i, entry in zip(group, outcome.value):
-                if "error" in entry:
-                    failures[batch[i].cache_key()] = TaskFailure.from_dict(
-                        entry["error"]
-                    )
-                    continue
-                payload = self._payload(batch[i])
-                for name, value in entry["metrics"].items():
-                    payload.setdefault(name, value)
 
     #: Distinct message sizes published into shared memory per job group;
     #: sizes beyond the cap simply compile worker-locally (correctness is
@@ -1000,8 +933,8 @@ class Session:
     def close(self) -> None:
         """Release the executor (warm workers, shared segments); idempotent.
 
-        Serial and per-``map`` process executors hold nothing, so closing
-        is free there; a warm-pool session retires its workers and unlinks
+        A serial executor holds nothing, so closing is free there; a
+        warm-pool session retires its workers and unlinks
         every shared segment.  The session itself stays usable for solves
         only insofar as its executor does — treat ``close()`` as final.
         """
@@ -1205,55 +1138,8 @@ class PendingBatch:
 
 
 # --------------------------------------------------------------------------- #
-# Process-pool plumbing and the default session
+# Warm-worker plumbing and the default session
 # --------------------------------------------------------------------------- #
-#: Bounds of a worker's session: few platforms / few jobs get full cache
-#: sharing across group tasks, while a huge heterogeneous sweep cannot grow
-#: the worker's memory without limit (sessions pin platforms, LP solutions,
-#: trees, simulations and metric payloads alive).
-_WORKER_PLATFORM_LIMIT = 64
-_WORKER_JOB_LIMIT = 4096
-
-
-def _solve_job_group_json(task: dict[str, Any]) -> list[dict[str, Any]]:
-    """Materialize one platform's JSON-shipped jobs; picklable for pools.
-
-    ``task`` carries the job JSON texts plus the parent session's retry
-    policy and ``on_error`` mode, so per-job supervision (retries,
-    timeouts, deterministic fault hooks keyed on the job cache keys) runs
-    *inside* the worker exactly as it would in-process.  Returns one entry
-    per job: ``{"metrics": ...}`` on success, ``{"error": ...}`` (a
-    serialized :class:`~repro.runtime.TaskFailure`) when the job failed
-    under ``on_error="collect"``.
-
-    Runs in the worker's process-wide default session, shared across group
-    tasks (and with anything else that process solves).
-    """
-    session = default_session()
-    if (
-        len(session._platforms) >= _WORKER_PLATFORM_LIMIT
-        or len(session._payloads) >= _WORKER_JOB_LIMIT
-    ):
-        session.clear()
-    previous_policy = session.retry_policy
-    session.retry_policy = RetryPolicy.from_dict(task.get("policy", {}))
-    try:
-        # solve_many (not a solve() loop) so the worker's group also flows
-        # through the ensemble-batched kernel sweep.
-        results = session.solve_many(
-            [Job.from_json(text) for text in task["jobs"]],
-            on_error=task.get("on_error", "raise"),
-        )
-    finally:
-        session.retry_policy = previous_policy
-    return [
-        {"metrics": result.metrics()}
-        if result.ok
-        else {"error": result.error.to_dict()}
-        for result in results
-    ]
-
-
 _WARM_SESSION: Session | None = None
 
 
@@ -1261,8 +1147,7 @@ def _warm_worker_session() -> Session:
     """The warm worker's process-lifetime session (entry-bounded caches).
 
     Warm workers live across many group submissions, so their session must
-    self-evict (LRU) instead of relying on the per-batch ``clear()`` cliff
-    the per-``map`` worker path uses.
+    self-evict (LRU) rather than grow without limit.
     """
     global _WARM_SESSION
     if _WARM_SESSION is None:
@@ -1271,16 +1156,22 @@ def _warm_worker_session() -> Session:
 
 
 def _solve_job_group_warm(task: dict[str, Any]) -> dict[str, Any]:
-    """Warm-pool variant of :func:`_solve_job_group_json`.
+    """Materialize one platform's JSON-shipped jobs; picklable for the pool.
 
-    Same contract — materialize one platform's jobs under the shipped
-    policy and ``on_error`` mode — plus the warm-pool extras: the solve
-    runs on the worker's *persistent* session (platforms, compiled views,
-    LP solutions and trees survive across submissions), shared-memory
-    platform arrays from ``task["shm"]`` are attached as read-only views
-    and installed into the platform's compiled cache before the solve
-    (any attach failure degrades to local compilation — results are
-    bit-identical either way), and the reply carries a ``worker`` rider
+    ``task`` carries the job JSON texts plus the parent session's retry
+    policy and ``on_error`` mode, so per-job supervision (retries,
+    timeouts, deterministic fault hooks keyed on the job cache keys) runs
+    *inside* the worker exactly as it would in-process.  Each reply entry
+    is ``{"metrics": ...}`` on success or ``{"error": ...}`` (a serialized
+    :class:`~repro.runtime.TaskFailure`) when the job failed under
+    ``on_error="collect"``.
+
+    The solve runs on the worker's *persistent* session (platforms,
+    compiled views, LP solutions and trees survive across submissions).
+    Shared-memory platform arrays from ``task["shm"]`` are attached as
+    read-only views and installed into the platform's compiled cache before
+    the solve (any attach failure degrades to local compilation — results
+    are bit-identical either way).  The reply carries a ``worker`` rider
     (pid, warm-platform reuse, attach count) for the parent's
     ``cache_stats()['workers']`` block.
     """

@@ -62,6 +62,7 @@ from .experiments import (
     scaled_parameters,
     table_3,
 )
+from .runtime import available_backends
 from .utils.ascii_plot import format_table
 
 __all__ = ["main", "build_parser", "job_from_args"]
@@ -495,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--backend",
-        choices=("serial", "process", "warm-pool"),
+        choices=available_backends(),
         default=None,
         help="force a session executor backend instead of the --jobs auto-choice",
     )

@@ -13,9 +13,9 @@ shape into an explicit pipeline on top of the shared infrastructure of
    :func:`repro.utils.rng.derive_seed`), so evaluation order — and therefore
    parallelism — cannot change the results.
 2. **Executors** — the order-preserving
-   :class:`~repro.runtime.SerialExecutor` /
-   :class:`~repro.runtime.ProcessExecutor` map shared with
-   :class:`~repro.api.Session`.
+   :class:`~repro.runtime.SerialExecutor` or the warm worker pool
+   (:class:`~repro.pool.WarmPoolExecutor`), the same backends
+   :class:`~repro.api.Session` uses.
 3. **Cache** — :class:`ResultCache` specialises the two-level store of
    :mod:`repro.runtime` to :class:`EvaluationRecord` rows, keyed by a
    stable hash of the experiment parameters *and the library version*;
@@ -55,7 +55,6 @@ from ..api import Job, PlatformRecipe, Session
 from ..collectives import CollectiveSpec
 from ..exceptions import ExperimentError
 from ..runtime import (
-    ProcessExecutor,
     ResultCache as _GenericResultCache,
     RetryPolicy,
     SerialExecutor,
@@ -84,7 +83,6 @@ __all__ = [
     "tiers_ensemble_tasks",
     "collective_ensemble_tasks",
     "SerialExecutor",
-    "ProcessExecutor",
     "ResultCache",
     "EvaluationPipeline",
     "INTERRUPT_MANIFEST",
@@ -144,7 +142,7 @@ def ensemble_task_key(task: EnsembleTask) -> str:
 
     The key doubles as the task's supervision label, so retry jitter and
     the deterministic fault-injection harness key on task *identity*, not
-    position: serial, chunked and process-pool runs, full campaigns and
+    position: serial, chunked and warm-pool runs, full campaigns and
     resumed ones all make the same per-task decisions.
     """
     return stable_key(
@@ -494,8 +492,7 @@ class EvaluationPipeline:
         shared memory — falling back to the batched serial path (with a
         :class:`RuntimeWarning`) on single-CPU hosts.
     backend:
-        Executor backend name (``"serial"``, ``"process"``,
-        ``"warm-pool"``; see :func:`~repro.runtime.available_backends`)
+        Executor backend name (``"serial"`` or ``"warm-pool"``; see :func:`~repro.runtime.available_backends`)
         to force instead of the automatic ``jobs``-based choice.
         Mutually exclusive with ``executor``.
     cache_dir:

@@ -18,10 +18,10 @@ which tasks fail and assert that every injected fault is accounted for:
 
 Every decision is a pure function of the :class:`FaultPlan` seed and a
 stable token (the supervised task's label, the cache key, the solver call
-ordinal): runs are bit-reproducible, and serial and process-pool executions
+ordinal): runs are bit-reproducible, and serial and warm-pool executions
 inject the *same* faults because the plan travels in an environment
-variable (:data:`~repro.runtime.FAULT_PLAN_ENV`) that worker processes
-inherit.
+variable (:data:`~repro.runtime.FAULT_PLAN_ENV`) that the warm pool
+snapshots into every task it submits.
 
 Usage::
 
@@ -68,8 +68,8 @@ def in_pool_worker() -> bool:
     """Whether this process is a pool worker (has a multiprocessing parent).
 
     Crash faults are only allowed to genuinely kill the process here: a
-    dead worker is a recoverable event for the supervisor (both the
-    per-``map`` process pool and the warm pool respawn it), while killing
+    dead worker is a recoverable event for the supervisor (the warm pool
+    respawns it), while killing
     the main process would take the whole campaign down.
     """
     return multiprocessing.parent_process() is not None

@@ -1,11 +1,10 @@
 """Persistent warm worker pool: long-lived processes with warm sessions.
 
-:class:`~repro.runtime.ProcessExecutor` spins up a fresh
-``ProcessPoolExecutor`` per ``map`` call, so every batch pays worker
-start-up *and* re-primes every worker-local cache (platforms, compiled CSR
-views, LP solutions) from nothing — which is how ``BENCH_pipeline.json``
-ended up recording a parallel *slow-down*.  :class:`WarmPoolExecutor` is
-the pluggable backend that fixes this (ROADMAP item 3):
+:class:`WarmPoolExecutor` is the library's one multi-process backend
+(``warm-pool``).  A fresh process pool per ``map`` call would pay worker
+start-up for every batch *and* re-prime every worker-local cache
+(platforms, compiled CSR views, LP solutions) from nothing; this pool
+does neither:
 
 * **Long-lived workers.**  ``jobs`` worker processes are spawned lazily
   and survive across ``map``/``submit`` calls.  A worker's module globals

@@ -7,15 +7,17 @@ pipeline (PR 1) in a dependency-free home so that both
 without importing each other:
 
 * **Executors** — :class:`SerialExecutor` maps a function over work items
-  in-process; :class:`ProcessExecutor` fans the same map out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Both preserve item
-  order, so the result stream is identical whichever executor runs it.
+  in-process; the ``warm-pool`` backend (:mod:`repro.pool`, registered on
+  first use) fans the same map out over persistent worker processes.  Both
+  preserve item order, so the result stream is identical whichever
+  executor runs it.
 * **Supervision** — :class:`SupervisedExecutor` wraps either executor with
-  per-task timeouts, bounded retries (exponential backoff, deterministic
-  jitter — see :class:`RetryPolicy`) and broken-pool recovery: a crashed
-  worker pool is respawned once, and if it breaks again the surviving
-  items fall back to in-process execution, with the order and results of
-  already-finished items unchanged.  :meth:`SupervisedExecutor.map_outcomes`
+  per-task timeouts and bounded retries (exponential backoff,
+  deterministic jitter — see :class:`RetryPolicy`).  On the warm pool a
+  crashed worker is charged to its own task, the task is resubmitted while
+  the pool's respawn budget lasts, and once the pool turns unhealthy the
+  task's remaining attempts run in-process; finished items keep their
+  order and values either way.  :meth:`SupervisedExecutor.map_outcomes`
   turns permanent failures into structured :class:`TaskFailure` records
   instead of exceptions, which is what ``--keep-going`` campaigns consume.
 * **BoundedCache / ByteBudget** — thread-safe LRU mappings with entry and
@@ -57,9 +59,7 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TypeVar
@@ -80,7 +80,6 @@ __all__ = [
     "TaskExecutor",
     "ExecutorBackend",
     "SerialExecutor",
-    "ProcessExecutor",
     "SupervisedExecutor",
     "register_backend",
     "available_backends",
@@ -201,40 +200,6 @@ class SerialExecutor:
         """Nothing to release (backend-protocol symmetry)."""
 
 
-class ProcessExecutor:
-    """Fan work items out over a process pool, preserving item order.
-
-    ``function`` and the items must be picklable (module-level functions,
-    plain data); the facade ships jobs as JSON strings for this reason.
-    """
-
-    name = "process"
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def close(self) -> None:
-        """Nothing persistent to release: each ``map`` owns its pool."""
-
-    def map(
-        self,
-        function: Callable[[ItemT], ResultT],
-        tasks: Sequence[ItemT],
-    ) -> Iterator[ResultT]:
-        if not tasks:
-            return iter(())
-        # Modest chunks amortise pickling without starving short queues.
-        chunksize = max(1, len(tasks) // (self.jobs * 8))
-
-        def stream() -> Iterator[ResultT]:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                yield from pool.map(function, tasks, chunksize=chunksize)
-
-        return stream()
-
-
 # --------------------------------------------------------------------------- #
 # Pluggable backends
 # --------------------------------------------------------------------------- #
@@ -267,7 +232,7 @@ def register_backend(name: str, factory: Callable[[int], Any]) -> None:
     """Register an executor ``factory`` (``jobs -> executor``) under ``name``.
 
     Later registrations replace earlier ones, so embedders can override the
-    built-ins (``serial`` / ``process`` / ``warm-pool``).
+    built-ins (``serial`` / ``warm-pool``).
     """
     _BACKEND_FACTORIES[str(name)] = factory
 
@@ -332,7 +297,6 @@ def make_executor(
 
 
 register_backend("serial", lambda jobs: SerialExecutor())
-register_backend("process", lambda jobs: ProcessExecutor(jobs))
 
 
 # --------------------------------------------------------------------------- #
@@ -349,7 +313,7 @@ class RetryPolicy:
         to three attempts).  ``0`` disables retrying.
     task_timeout:
         Per-attempt wall-clock budget in seconds; ``None`` disables the
-        timeout.  Process pools enforce it on the supervisor's wait for the
+        timeout.  The warm pool enforces it on the supervisor's wait for the
         task future; in-process execution runs the attempt on a watchdog
         thread (the timed-out attempt is abandoned, not interrupted, so
         supervised functions should be pure).
@@ -481,8 +445,9 @@ class TaskFailure:
 class TaskOutcome:
     """What happened to one supervised task: a value or a failure record.
 
-    ``exception`` carries the original exception object when the failure
-    happened in this process (process-pool failures only have the record).
+    ``exception`` carries the original exception object (for pool tasks,
+    the copy pickled back from the worker, or the supervisor's
+    :class:`~repro.exceptions.WorkerCrashError` / timeout).
     """
 
     index: int
@@ -562,17 +527,6 @@ def _run_attempt(
     return _call_with_timeout(attempt_call, task, timeout)
 
 
-def _remote_attempt(payload: tuple) -> Any:
-    """Worker-side attempt runner; module-level so pools can pickle it.
-
-    The per-attempt timeout is enforced by the supervisor's wait on the
-    future, not here; the fault hook *does* run here so crash faults hit
-    the worker process (breaking the pool), not the supervisor.
-    """
-    function, task, label, attempt, fault_hook = payload
-    return _run_attempt(function, task, label, attempt, None, fault_hook)
-
-
 class SupervisedExecutor:
     """Failure-isolating wrapper around any :class:`TaskExecutor`.
 
@@ -585,10 +539,11 @@ class SupervisedExecutor:
     :class:`TaskFailure` record, which is what ``--keep-going`` campaigns
     and ``solve_many(on_error="collect")`` consume.
 
-    Process pools additionally get broken-pool recovery: the pool is
-    respawned once after a worker crash, and a second crash degrades the
-    remaining items to in-process execution — finished items keep their
-    order and values either way.
+    The warm pool additionally gets crash recovery: a crashed worker is
+    charged to its own task, which is resubmitted while the pool's respawn
+    budget lasts; once the pool is unhealthy the task's remaining attempts
+    run in-process — finished items keep their order and values either
+    way.
 
     ``labels`` name tasks in failure records and seed the deterministic
     retry jitter (and the fault-injection harness); they default to the
@@ -648,13 +603,6 @@ class SupervisedExecutor:
         # retries instead of degrading in-process on the first hiccup.
         if getattr(self.inner, "supervises_as_pool", False):
             return self._pool_outcomes(function, items, names)
-        # Exact type, not isinstance: pool-level supervision replaces the
-        # executor's own map() with per-future waits, which would silently
-        # bypass the overridden behavior of ProcessExecutor *subclasses*
-        # (recording doubles, instrumented pools).  Those keep their own
-        # code path and get in-process supervision semantics instead.
-        if type(self.inner) is ProcessExecutor:
-            return self._process_outcomes(function, items, names)
         return self._inprocess_outcomes(function, items, names)
 
     # ------------------------------------------------------------------ #
@@ -745,11 +693,12 @@ class SupervisedExecutor:
         All tasks are submitted upfront (the pool keeps its workers busy);
         outcomes are consumed in task order.  A crashed worker charges the
         crash to its task and the task is *resubmitted to the pool* while
-        attempts and pool health allow — unlike the per-``map`` process
-        pool there is no whole-pool respawn, because slots respawn
-        individually inside the pool.  Timeouts put the hung worker down
-        via ``abandon`` (freeing the slot) and finish the task's remaining
-        attempts in-process, exactly like :meth:`_process_outcomes`.
+        attempts and pool health allow; there is no whole-pool respawn,
+        because slots respawn individually inside the pool.  Timeouts put
+        the hung worker down via ``abandon`` (freeing the slot) and finish
+        the task's remaining attempts in-process, as do organic failures:
+        a retry resubmitted behind busy workers would have its queue
+        *wait*, not its work, counted against the timeout.
         """
         policy = self.policy
         pool = self.inner
@@ -812,115 +761,6 @@ class SupervisedExecutor:
                         exception=error,
                     )
                 break
-
-    def _process_outcomes(
-        self,
-        function: Callable[[Any], Any],
-        tasks: list[Any],
-        labels: list[str],
-    ) -> Iterator[TaskOutcome]:
-        policy = self.policy
-        total = len(tasks)
-        attempts = [0] * total
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
-        respawns_left = 1
-        serial = False
-        futures: dict[int, Any] = {}
-
-        def submit(index: int) -> None:
-            futures[index] = pool.submit(
-                _remote_attempt,
-                (function, tasks[index], labels[index], attempts[index],
-                 self._fault_hook),
-            )
-
-        try:
-            for index in range(total):
-                submit(index)
-            for index in range(total):
-                if serial:
-                    # The pool is gone: surviving items run in-process with
-                    # whatever attempt budget they have left.
-                    yield self._attempt_loop(
-                        index, function, tasks[index], labels[index],
-                        attempts[index], None,
-                    )
-                    continue
-                while True:
-                    try:
-                        value = futures[index].result(timeout=policy.task_timeout)
-                        yield TaskOutcome(index, value=value)
-                        break
-                    except _FuturesTimeout:
-                        attempts[index] += 1
-                        error: BaseException = TaskTimeoutError(
-                            f"supervised task {labels[index]!r} exceeded its "
-                            f"{policy.task_timeout:.3g}s timeout "
-                            f"(attempt {attempts[index]})"
-                        )
-                        # Best effort; a *running* attempt cannot be
-                        # cancelled and its eventual result is discarded.
-                        futures[index].cancel()
-                    except BrokenProcessPool:
-                        attempts[index] += 1
-                        error = WorkerCrashError(
-                            f"worker process died while running task "
-                            f"{labels[index]!r}"
-                        )
-                        if respawns_left > 0:
-                            respawns_left -= 1
-                            pool.shutdown(wait=False)
-                            pool = ProcessPoolExecutor(max_workers=self.jobs)
-                            # Every unconsumed future died with the pool;
-                            # the crash is charged to this task only, the
-                            # rest get fresh submissions at their current
-                            # attempt count.
-                            if attempts[index] <= policy.retries:
-                                time.sleep(
-                                    policy.delay(attempts[index] - 1, labels[index])
-                                )
-                                for later in range(index, total):
-                                    submit(later)
-                                continue
-                            for later in range(index + 1, total):
-                                submit(later)
-                            yield TaskOutcome(
-                                index,
-                                failure=TaskFailure.from_exception(
-                                    labels[index], error, attempts[index]
-                                ),
-                                exception=error,
-                            )
-                        else:
-                            serial = True
-                            yield self._attempt_loop(
-                                index, function, tasks[index], labels[index],
-                                attempts[index], error,
-                            )
-                        break
-                    except Exception as exc:
-                        attempts[index] += 1
-                        error = exc
-                    # Timeout or organic failure: the remaining attempts run
-                    # in-process while the pool keeps draining later tasks —
-                    # a retry resubmitted behind busy workers would have its
-                    # queue *wait*, not its work, counted against the timeout.
-                    if attempts[index] <= policy.retries and is_retryable(error):
-                        yield self._attempt_loop(
-                            index, function, tasks[index], labels[index],
-                            attempts[index], error,
-                        )
-                    else:
-                        yield TaskOutcome(
-                            index,
-                            failure=TaskFailure.from_exception(
-                                labels[index], error, attempts[index]
-                            ),
-                            exception=error,
-                        )
-                    break
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
 
 
 # --------------------------------------------------------------------------- #

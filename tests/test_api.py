@@ -168,7 +168,8 @@ class TestSession:
             Job.broadcast(RECIPE, heuristic=name)
             for name in ("grow-tree", "binomial")
         ]
-        parallel = Session(jobs=2).solve_many(jobs)
+        with Session(jobs=2) as session:
+            parallel = session.solve_many(jobs)
         serial = Session().solve_many(jobs)
         assert [r.deterministic_metrics() for r in parallel] == [
             r.deterministic_metrics() for r in serial
@@ -208,32 +209,8 @@ class TestSession:
         metrics = [r.deterministic_metrics() for r in results]
         assert metrics[0] == metrics[1] == metrics[2]
 
-    def test_process_dispatch_groups_jobs_by_platform(self):
-        """One platform's jobs ship as one task: its LP solves in one worker."""
-        from repro.runtime import ProcessExecutor
-
-        class RecordingPool(ProcessExecutor):
-            def __init__(self):
-                super().__init__(2)
-                self.tasks = []
-
-            def map(self, function, tasks):
-                # Supervision wraps tasks as (index, payload) pairs; the
-                # payload dict carries each group's jobs plus the policy.
-                self.tasks.append([len(payload["jobs"]) for _, payload in tasks])
-                return [function(task) for task in tasks]
-
-        pool = RecordingPool()
-        session = Session(executor=pool)
-        other = PlatformRecipe.of("random", num_nodes=8, density=0.4, seed=5)
-        jobs = [
-            Job.broadcast(recipe, heuristic=name)
-            for recipe in (RECIPE, other)
-            for name in ("grow-tree", "binomial")
-        ]
-        results = session.solve_many(jobs)
-        assert pool.tasks == [[2, 2]]
-        assert all(r.is_materialized() for r in results)
+    def test_jobs_on_one_platform_share_its_instance(self):
+        """Recipes resolve once per session; inline platforms pass through."""
         session = Session()
         a = session.solve(Job.broadcast(RECIPE))
         b = session.solve(Job.broadcast(RECIPE, heuristic="binomial"))

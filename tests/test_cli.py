@@ -28,6 +28,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "--artefact", "fig9"])
 
+    def test_serve_backend_choices_follow_the_registry(self):
+        from repro.runtime import available_backends
+
+        for backend in available_backends():
+            args = build_parser().parse_args(["serve", "--backend", backend])
+            assert args.backend == backend
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--backend", "process"])
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_tree_command(self, capsys):

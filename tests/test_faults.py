@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -49,7 +50,6 @@ from repro.exceptions import (
 )
 from repro.experiments import (
     EvaluationPipeline,
-    ProcessExecutor,
     ResultCache,
     SerialExecutor,
     ensemble_task_key,
@@ -372,11 +372,18 @@ class TestModelVerdictsAreNotRetried:
         assert result.error.attempts == 1
         assert sleeps == []
 
-    def test_process_pool_verdict_is_not_resubmitted(self, sleeps):
-        supervisor = SupervisedExecutor(ProcessExecutor(1), fault_hook=False)
-        (outcome,) = supervisor.map_outcomes(_raise_simulation_error, [7])
+    def test_warm_pool_verdict_is_not_resubmitted(self, sleeps):
+        from repro.pool import WarmPoolExecutor
+
+        with WarmPoolExecutor(1) as pool:
+            supervisor = SupervisedExecutor(pool, fault_hook=False)
+            (outcome,) = supervisor.map_outcomes(_raise_simulation_error, [7])
+            stats = pool.stats()
         assert outcome.failure.error_type == "SimulationError"
+        assert isinstance(outcome.exception, SimulationError)
         assert outcome.failure.attempts == 1
+        # One submission: the verdict never went back to the pool.
+        assert (stats["completed"], stats["failed"]) == (0, 1)
         assert sleeps == []
 
 
@@ -697,8 +704,8 @@ class TestCampaignUnderFaults:
         assert probe.get(campaign.task_keys[0]) is not None
 
 
-class TestCampaignOverProcessPool:
-    def test_worker_crashes_break_and_recover_the_pool(self, tmp_path):
+class TestCampaignOverWarmPool:
+    def test_worker_crashes_are_charged_to_their_tasks(self, tmp_path):
         parameters = _campaign_parameters(12, seed=99)
         tasks = random_ensemble_tasks(parameters, include_multi_port=False)
         task_keys, job_keys = _task_labels_and_job_keys(tasks)
@@ -721,20 +728,25 @@ class TestCampaignOverProcessPool:
         )
         per_task = [baseline_pipe.cache.get(key) for key in task_keys]
 
-        pipe = EvaluationPipeline(
-            executor=ProcessExecutor(2),
+        with EvaluationPipeline(
+            jobs=2,
+            backend="warm-pool",
             cache=ResultCache(tmp_path / "campaign"),
             keep_going=True,
             retry_policy=RetryPolicy(retries=0, backoff=0.001),
-        )
-        with inject_faults(plan):
-            survivors = pipe.evaluate("random", parameters, include_multi_port=False)
+        ) as pipe:
+            with inject_faults(plan):
+                survivors = pipe.evaluate(
+                    "random", parameters, include_multi_port=False
+                )
+        # Closing the pool unlinked every segment this process published.
+        assert not list(Path("/dev/shm").glob(f"repro_shm_{os.getpid()}_*"))
 
         assert len(pipe.failures) == len(predicted)
         assert {ensemble_task_key(r.task) for r in pipe.failures} == {
             task_keys[i] for i in predicted
         }
-        # Crashes surface as the pool break (WorkerCrashError) or, after
+        # Crashes surface as the dead worker (WorkerCrashError) or, after
         # the pool has degraded to in-process execution, as the downgraded
         # InjectedCrashError — both structured, both accounted.
         assert all(

@@ -10,11 +10,10 @@ from dataclasses import fields, replace
 import pytest
 
 from repro import _version
-from repro.runtime import ResultCache as RuntimeResultCache
+from repro.runtime import ResultCache as RuntimeResultCache, make_executor
 from repro.exceptions import ExperimentError
 from repro.experiments import (
     EvaluationPipeline,
-    ProcessExecutor,
     ResultCache,
     SerialExecutor,
     ensemble_cache_key,
@@ -79,9 +78,8 @@ class TestExecutorDeterminism:
         ]
 
     def test_figure_render_bit_identical(self, tiny_parameters, serial_records):
-        parallel = EvaluationPipeline(executor=ProcessExecutor(2)).evaluate(
-            "random", tiny_parameters
-        )
+        with EvaluationPipeline(jobs=2, backend="warm-pool") as pipeline:
+            parallel = pipeline.evaluate("random", tiny_parameters)
         serial_render = figure_4a(tiny_parameters, records=serial_records).render()
         parallel_render = figure_4a(tiny_parameters, records=parallel).render()
         assert serial_render == parallel_render
@@ -97,7 +95,7 @@ class TestExecutorDeterminism:
         with pytest.raises(ExperimentError):
             EvaluationPipeline(jobs=0)
         with pytest.raises(ExperimentError):
-            ProcessExecutor(0)
+            make_executor("warm-pool", 0)
 
     def test_executor_and_backend_are_mutually_exclusive(self):
         with pytest.raises(ExperimentError, match="not both"):
