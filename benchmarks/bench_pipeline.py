@@ -1,4 +1,4 @@
-"""Benchmark of the batched ensemble-evaluation pipeline.
+"""Benchmark of the ensemble-evaluation pipeline.
 
 Measures, and records into ``BENCH_pipeline.json`` (repo root by default):
 
@@ -74,7 +74,7 @@ def ensemble_parameters(num_platforms: int):
 
 
 def evaluate_serial(parameters) -> tuple[list, float]:
-    """The serial (batched in-process) baseline every arm is compared to."""
+    """The serial (in-process) baseline every arm is compared to."""
     pipeline = EvaluationPipeline(jobs=1)
     start = time.perf_counter()
     records = pipeline.evaluate("random", parameters)

@@ -447,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "complete the campaign on permanent task failures and report "
-            "them as structured error records (exit code 1); successful "
-            "tasks are written through to --cache-dir, so re-running "
-            "resumes with only the failed tasks"
+            "them as structured error records (exit code 1) instead of "
+            "aborting; either way finished tasks are written through to "
+            "--cache-dir, so re-running resumes with only the missing tasks"
         ),
     )
     experiment.set_defaults(handler=_cmd_experiment)

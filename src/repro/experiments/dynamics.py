@@ -25,6 +25,7 @@ bit-for-bit (wall-clock timings are stripped in the worker).
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -36,13 +37,13 @@ from ..exceptions import ExperimentError
 from ..runtime import (
     ResultCache as _GenericResultCache,
     RetryPolicy,
-    SupervisedExecutor,
     TaskFailure,
     make_executor,
 )
 from ..utils.rng import derive_seed, spawn_seeds
 from .config import PaperParameters
 from .figures import FigureData
+from .pipeline import run_campaign
 
 __all__ = [
     "DynamicScalingData",
@@ -132,19 +133,20 @@ def dynamic_jobs(parameters: PaperParameters) -> list[DynamicJob]:
     ]
 
 
-def _solve_dynamic_task(payload: Mapping[str, Any]) -> dict[str, Any]:
+def _solve_dynamic_task(payload: Mapping[str, Any]) -> list[dict[str, Any]]:
     """Run one dynamic job; module-level so worker pools can pickle it.
 
     Runs on the warm worker's persistent session (or, on the serial path,
     the caller's process-global warm session), and strips the wall-clock
     field so serial and pooled campaigns return bit-identical records.
+    Returns the job's cache rows: a one-record list.
     """
     from ..api.session import _warm_worker_session  # local: avoid cycle
 
     job = DynamicJob.from_dict(payload)
     record = dict(_warm_worker_session().dynamic_payload_for(job))
     record.pop("solve_seconds", None)
-    return record
+    return [record]
 
 
 class _DynamicCache(_GenericResultCache):
@@ -172,59 +174,38 @@ def dynamic_ensemble_records(
 ) -> list[dict[str, Any]]:
     """The campaign's deterministic per-seed payload records.
 
-    Each record is checked against its own cache entry first (write-through
-    as seeds finish, so interrupted campaigns resume), and the sweep fans
-    out through the warm worker pool when ``jobs > 1``.  Under
-    ``keep_going`` a permanently failed seed becomes a
-    :class:`DynamicErrorRecord` in ``failures`` instead of aborting.
+    Runs through the same campaign loop as the ensembles
+    (:func:`~repro.experiments.pipeline.run_campaign`): each seed is checked
+    against its own cache entry first and written through as it finishes,
+    so interrupted campaigns resume, and the sweep fans out through the
+    warm worker pool when ``jobs > 1``.  A permanently failed seed raises,
+    or under ``keep_going`` becomes a :class:`DynamicErrorRecord` in
+    ``failures``.
     """
     campaign = dynamic_jobs(parameters)
-    cache = _DynamicCache(cache_dir)
-    records: "list[dict[str, Any] | None]" = []
-    pending: list[int] = []
-    for index, job in enumerate(campaign):
-        rows = cache.get(job.cache_key())
-        records.append(dict(rows[0]) if rows else None)
-        if rows is None:
-            pending.append(index)
 
-    if pending:
-        policy = retry_policy if retry_policy is not None else RetryPolicy()
-        executor = make_executor(None, jobs, warn_single_cpu=False)
-        try:
-            supervisor = SupervisedExecutor(executor, policy)
-            outcomes = supervisor.map_outcomes(
-                _solve_dynamic_task,
-                [campaign[i].canonical_payload() for i in pending],
-                labels=[campaign[i].cache_key() for i in pending],
-            )
-            for outcome in outcomes:
-                index = pending[outcome.index]
-                job = campaign[index]
-                if outcome.ok:
-                    records[index] = outcome.value
-                    cache.put(job.cache_key(), [outcome.value])
-                    if progress:
-                        timelines = outcome.value["timelines"]
-                        summary = ", ".join(
-                            f"{policy_name}={timelines[policy_name]['mean_ratio']:.3f}"
-                            for policy_name in outcome.value["policies"]
-                        )
-                        print(f"[dynamic] trace seed {job.trace.seed}: {summary}")
-                    continue
-                if not keep_going:
-                    outcome.raise_if_failed()
-                record = DynamicErrorRecord(job, outcome.failure)
-                if failures is not None:
-                    failures.append(record)
-                if progress:
-                    print(f"[failed] {record.describe()}")
-        finally:
-            closer = getattr(executor, "close", None)
-            if callable(closer):
-                closer()
+    def progress_line(index: int, rows: "list[dict[str, Any]]") -> str:
+        timelines = rows[0]["timelines"]
+        summary = ", ".join(
+            f"{policy}={timelines[policy]['mean_ratio']:.3f}"
+            for policy in rows[0]["policies"]
+        )
+        return f"[dynamic] trace seed {campaign[index].trace.seed}: {summary}"
 
-    return [record for record in records if record is not None]
+    with closing(make_executor(None, jobs)) as executor:
+        rows = run_campaign(
+            _solve_dynamic_task,
+            [job.canonical_payload() for job in campaign],
+            [job.cache_key() for job in campaign],
+            executor=executor,
+            cache=_DynamicCache(cache_dir),
+            failures=failures if failures is not None else [],
+            failure_record=lambda i, failure: DynamicErrorRecord(campaign[i], failure),
+            retry_policy=retry_policy,
+            keep_going=keep_going,
+            progress_line=progress_line if progress else None,
+        )
+    return [dict(found[0]) for found in rows if found is not None]
 
 
 @dataclass(frozen=True)

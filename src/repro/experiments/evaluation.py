@@ -31,7 +31,6 @@ __all__ = [
     "broadcast_jobs",
     "record_from_result",
     "evaluate_platform",
-    "evaluate_collective_platform",
 ]
 
 NodeName = Any
@@ -200,32 +199,3 @@ def evaluate_platform(
         records=records,
     )
 
-
-def evaluate_collective_platform(
-    platform: "Platform | PlatformRecipe",
-    source: NodeName,
-    *,
-    collective: str,
-    num_targets: int,
-    heuristic: str = "grow-tree",
-    generator: str = "collective",
-    instance_index: int = 0,
-    session: Session | None = None,
-) -> list[EvaluationRecord]:
-    """One point of the collective-scaling sweep (one platform, one kind).
-
-    The target set is the first ``num_targets`` non-source nodes in platform
-    order, so the sets of a sweep are *nested*: the LP optimum is provably
-    non-increasing in ``num_targets`` for each kind, which the shape check
-    of the ``collective`` artefact asserts.
-    """
-    session = session if session is not None else Session()
-    resolved = session.platform(platform)
-    others = [node for node in resolved.nodes if node != source]
-    spec = CollectiveSpec(collective, source, tuple(others[:num_targets]))
-    job = Job(platform, spec, heuristic=heuristic, model="one-port")
-    results = session.solve_many([job])
-    return [
-        record_from_result(r, generator=generator, instance_index=instance_index)
-        for r in results
-    ]

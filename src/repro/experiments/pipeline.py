@@ -1,4 +1,4 @@
-"""Batched, parallel, cached evaluation of platform ensembles.
+"""Parallel, supervised, cached evaluation of platform ensembles.
 
 The paper's headline artefacts (Figures 4a/4b/5, Table 3) all reduce to the
 same shape of computation: *generate N platforms deterministically, evaluate
@@ -24,14 +24,16 @@ shape into an explicit pipeline on top of the shared infrastructure of
 
 Each task runs as a list of declarative :class:`~repro.api.Job` solved
 through a :class:`~repro.api.Session`, so the ensemble path and one-off
-facade solves share the same code and the same LP-reuse behaviour.
-Worker processes solve one task per call (:func:`run_ensemble_task`,
-whose job groups are batched again inside the worker); the in-process
-serial path instead shares one session across a *chunk* of tasks
-(:func:`run_ensemble_tasks_batched`), handing
-:meth:`Session.solve_many <repro.api.Session.solve_many>` the chunk's
-whole job list at once so compatible jobs from different platforms can be
-stacked into :class:`~repro.kernels.EnsembleBatch` sweeps.
+facade solves share the same code and the same LP-reuse behaviour.  Every
+executor runs one task per call (:func:`run_ensemble_task`, one
+:meth:`Session.solve_many <repro.api.Session.solve_many>` call per task).
+
+Every campaign — ensemble or dynamic — runs through one loop,
+:func:`run_campaign`: per-task cache lookup (so interrupted, crashed or
+failed campaigns resume), :class:`~repro.runtime.SupervisedExecutor`
+retries and timeouts, write-through of each finished task, and an
+interrupt manifest on SIGINT/SIGTERM.  ``keep_going`` only chooses whether
+a permanent failure raises or is collected.
 
 :class:`EvaluationPipeline` glues the three together and is what the
 runner, the CLI (``--jobs`` / ``--cache-dir``) and the benchmarks use.
@@ -47,8 +49,9 @@ import signal
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .. import _version
 from ..api import Job, PlatformRecipe, Session
@@ -66,19 +69,13 @@ from ..runtime import (
 )
 from ..utils.rng import spawn_seeds
 from .config import PaperParameters
-from .evaluation import (
-    EvaluationRecord,
-    broadcast_jobs,
-    evaluate_collective_platform,
-    evaluate_platform,
-    record_from_result,
-)
+from .evaluation import EvaluationRecord, broadcast_jobs, record_from_result
 
 __all__ = [
     "EnsembleTask",
     "TaskErrorRecord",
     "run_ensemble_task",
-    "run_ensemble_tasks_batched",
+    "run_campaign",
     "random_ensemble_tasks",
     "tiers_ensemble_tasks",
     "collective_ensemble_tasks",
@@ -142,8 +139,8 @@ def ensemble_task_key(task: EnsembleTask) -> str:
 
     The key doubles as the task's supervision label, so retry jitter and
     the deterministic fault-injection harness key on task *identity*, not
-    position: serial, chunked and warm-pool runs, full campaigns and
-    resumed ones all make the same per-task decisions.
+    position: serial and warm-pool runs, full campaigns and resumed ones
+    all make the same per-task decisions.
     """
     return stable_key(
         {
@@ -281,56 +278,14 @@ def collective_ensemble_tasks(parameters: PaperParameters) -> list[EnsembleTask]
     return tasks
 
 
-def run_ensemble_task(
-    task: EnsembleTask, retry_policy: RetryPolicy | None = None
-) -> list[EvaluationRecord]:
-    """Evaluate one task; module-level so process pools can pickle it.
-
-    Every task gets a fresh :class:`~repro.api.Session` (its platform and
-    seed are unique to the task, so there is nothing to share across
-    tasks) and runs its jobs through the facade: the per-platform LP is
-    solved once and shared by every heuristic and by the relative
-    performance reference.  ``retry_policy`` propagates the pipeline's
-    policy to the session's own per-job supervision.
-    """
-    session = Session(retry_policy=retry_policy)
-    if task.kind == "collective":
-        return evaluate_collective_platform(
-            task.platform_recipe(),
-            task.source,
-            collective=task.collective,
-            num_targets=task.num_targets,
-            instance_index=task.instance_index,
-            session=session,
-        )
-    if task.kind not in ("random", "tiers"):
-        raise ExperimentError(f"unknown ensemble task kind {task.kind!r}")
-    evaluation = evaluate_platform(
-        task.platform_recipe(),
-        task.source,
-        generator=task.kind,
-        instance_index=task.instance_index,
-        send_fraction=task.send_fraction,
-        include_multi_port=task.include_multi_port,
-        session=session,
-    )
-    return evaluation.records
-
-
-#: Tasks per shared-session chunk on the in-process path.  Bounds the
-#: session's platform / tree / LP caches while still giving
-#: ``Session.solve_many`` dozens of compatible jobs to stack per ensemble
-#: batch; matches the per-group platform limit of the worker protocol.
-_BATCH_CHUNK_TASKS = 32
-
-
 def _task_jobs(task: EnsembleTask, session: Session) -> list[Job]:
     """The declarative job list of one task.
 
-    Mirrors exactly what :func:`run_ensemble_task` submits through
-    :func:`~repro.experiments.evaluation.evaluate_platform` /
-    :func:`~repro.experiments.evaluation.evaluate_collective_platform`, so
-    the chunked path below solves the same jobs in the same order.
+    A broadcast task is the paper's per-platform list (every heuristic
+    under its port model); a collective task is one grow-tree job whose
+    targets are the first ``num_targets`` non-source nodes in platform
+    order, so the target sets of a sweep are *nested* and the LP optimum
+    is provably non-increasing in ``num_targets``.
     """
     recipe = task.platform_recipe()
     if task.kind == "collective":
@@ -350,37 +305,27 @@ def _task_jobs(task: EnsembleTask, session: Session) -> list[Job]:
     )
 
 
-def run_ensemble_tasks_batched(
-    tasks: list[EnsembleTask], *, chunk_tasks: int = _BATCH_CHUNK_TASKS
-) -> Iterator[list[EvaluationRecord]]:
-    """Yield each task's records, solving a chunk of tasks per session.
+def run_ensemble_task(
+    task: EnsembleTask, retry_policy: RetryPolicy | None = None
+) -> list[EvaluationRecord]:
+    """Evaluate one task; module-level so worker pools can pickle it.
 
-    The in-process twin of mapping :func:`run_ensemble_task`: instead of a
-    fresh :class:`~repro.api.Session` per task, one session serves
-    ``chunk_tasks`` consecutive tasks and receives the chunk's entire job
-    list in a single :meth:`~repro.api.Session.solve_many` call, which
-    stacks compatible jobs across platforms into
-    :class:`~repro.kernels.EnsembleBatch` sweeps.  Results come back in
-    submission order, so slicing them per task reproduces the per-task
-    record lists bit-identically (timing fields aside).
+    Every task gets a fresh :class:`~repro.api.Session` (its platform and
+    seed are unique to the task, so there is nothing to share across
+    tasks) and solves its jobs in one
+    :meth:`~repro.api.Session.solve_many` call: the per-platform LP is
+    solved once and shared by every heuristic and by the relative
+    performance reference.  ``retry_policy`` propagates the pipeline's
+    policy to the session's own per-job supervision.
     """
-    for start in range(0, len(tasks), chunk_tasks):
-        chunk = tasks[start : start + chunk_tasks]
-        session = Session()
-        job_lists = [_task_jobs(task, session) for task in chunk]
-        results = session.solve_many([job for jobs in job_lists for job in jobs])
-        position = 0
-        for task, jobs in zip(chunk, job_lists):
-            sliced = results[position : position + len(jobs)]
-            position += len(jobs)
-            yield [
-                record_from_result(
-                    result,
-                    generator=task.kind,
-                    instance_index=task.instance_index,
-                )
-                for result in sliced
-            ]
+    session = Session(retry_policy=retry_policy)
+    results = session.solve_many(_task_jobs(task, session))
+    return [
+        record_from_result(
+            result, generator=task.kind, instance_index=task.instance_index
+        )
+        for result in results
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -433,21 +378,22 @@ class ResultCache(_GenericResultCache):
 
 
 # --------------------------------------------------------------------------- #
-# Interrupts
+# The campaign loop
 # --------------------------------------------------------------------------- #
-#: Manifest file a supervised campaign leaves in its cache directory when a
+#: Manifest file a campaign leaves in its cache directory when a
 #: SIGINT/SIGTERM interrupts it mid-run.
 INTERRUPT_MANIFEST = "interrupt-manifest.json"
 
 
-class _campaign_interrupt_guard:
+@contextmanager
+def _campaign_interrupt_guard() -> Iterator[None]:
     """Turn SIGTERM into an exception so campaigns can exit cleanly.
 
     SIGINT already raises :class:`KeyboardInterrupt` between bytecodes;
     SIGTERM by default kills the process wherever it stands — including
     halfway through a cache write-through loop.  Inside the guard, SIGTERM
     raises :class:`SystemExit` (with the conventional ``128 + signum``
-    code) instead, so the supervised loop's ``except`` path runs: the
+    code) instead, so the campaign loop's ``except`` path runs: the
     current atomic cache write completes, the interrupt manifest is
     written, and the process exits with campaign state on disk.
 
@@ -455,30 +401,150 @@ class _campaign_interrupt_guard:
     main-thread-only); the campaign then keeps the host application's
     handling.
     """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
 
-    def __init__(self) -> None:
-        self._previous: Any = None
-        self._installed = False
-
-    @staticmethod
-    def _raise_exit(signum: int, frame: Any) -> None:
+    def raise_exit(signum: int, frame: Any) -> None:
         raise SystemExit(128 + signum)
 
-    def __enter__(self) -> "_campaign_interrupt_guard":
-        if threading.current_thread() is threading.main_thread():
-            self._previous = signal.signal(signal.SIGTERM, self._raise_exit)
-            self._installed = True
-        return self
+    previous = signal.signal(signal.SIGTERM, raise_exit)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
-    def __exit__(self, *exc_info: Any) -> None:
-        if self._installed:
-            signal.signal(signal.SIGTERM, self._previous)
-            self._installed = False
+
+def run_campaign(
+    function: Callable[[Any], list[Any]],
+    items: Sequence[Any],
+    labels: Sequence[str],
+    *,
+    executor: TaskExecutor,
+    cache: _GenericResultCache,
+    failures: list[Any],
+    failure_record: Callable[[int, TaskFailure], Any],
+    retry_policy: RetryPolicy | None = None,
+    keep_going: bool = False,
+    progress_line: Callable[[int, list[Any]], str] | None = None,
+) -> list[list[Any] | None]:
+    """Run ``function`` over ``items``: supervised, resumable, cached per item.
+
+    The one loop behind every ensemble and dynamic campaign.  ``function``
+    maps an item to its list of cache rows; ``labels[i]`` is item ``i``'s
+    cache key and its supervision label (retry jitter and fault injection
+    key on it, so every executor makes the same per-item decisions).
+
+    * Each item first looks up its own cache entry: a campaign that
+      crashed, failed or was interrupted resumes with only the missing
+      items.
+    * The rest run through :meth:`SupervisedExecutor.map_outcomes
+      <repro.runtime.SupervisedExecutor.map_outcomes>` over ``executor``
+      under ``retry_policy`` (``None`` means ``RetryPolicy()``, as in
+      :class:`~repro.api.Session`).
+    * Each item's rows are written through to ``cache`` as it finishes.
+    * A permanent failure re-raises its original exception, or, under
+      ``keep_going``, appends ``failure_record(i, failure)`` to
+      ``failures`` while the campaign goes on.
+    * SIGTERM becomes a clean :class:`SystemExit`; on it or on SIGINT the
+      loop leaves :data:`INTERRUPT_MANIFEST` in the cache directory.
+
+    ``progress_line(i, rows)`` (when given) renders a line printed as item
+    ``i`` finishes; failures then print as ``[failed] ...`` lines.  Returns
+    every item's rows in item order, ``None`` for the failed ones.
+    """
+    rows: "list[list[Any] | None]" = [cache.get(label) for label in labels]
+    pending = [i for i, found in enumerate(rows) if found is None]
+    if not pending:
+        return rows
+    outcomes = SupervisedExecutor(executor, retry_policy).map_outcomes(
+        function,
+        [items[i] for i in pending],
+        labels=[labels[i] for i in pending],
+    )
+    try:
+        with _campaign_interrupt_guard():
+            for outcome in outcomes:
+                i = pending[outcome.index]
+                if outcome.ok:
+                    rows[i] = outcome.value
+                    cache.put(labels[i], outcome.value)
+                    if progress_line is not None:
+                        print(progress_line(i, outcome.value))
+                    continue
+                if not keep_going:
+                    outcome.raise_if_failed()
+                failures.append(failure_record(i, outcome.failure))
+                if progress_line is not None:
+                    print(f"[failed] {failures[-1].describe()}")
+    except (KeyboardInterrupt, SystemExit) as interruption:
+        # Completed items are already on disk (each cache write is atomic
+        # and happened before this point); record what state the campaign
+        # stopped in, then let the interrupt proceed.
+        _write_interrupt_manifest(cache, labels, rows, failures, interruption)
+        raise
+    return rows
+
+
+def _write_interrupt_manifest(
+    cache: _GenericResultCache,
+    labels: Sequence[str],
+    rows: "Sequence[list[Any] | None]",
+    failures: Sequence[Any],
+    interruption: BaseException,
+) -> None:
+    """Leave a resume manifest in the cache directory on interrupt.
+
+    Records how many items completed (and are on disk), which are still
+    pending, and the structured failures collected so far — so an operator
+    inspecting an interrupted campaign knows exactly what a re-run will
+    recompute.  Written atomically (temp file + rename) next to the
+    per-item entries; skipped when the cache has no disk level (nothing
+    survives the process then anyway).
+    """
+    if cache.cache_dir is None:
+        return
+    manifest = {
+        "interrupted_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "reason": type(interruption).__name__,
+        "exit_code": (
+            interruption.code if isinstance(interruption, SystemExit) else None
+        ),
+        "tasks_total": len(labels),
+        "tasks_completed": sum(1 for found in rows if found is not None),
+        "pending_labels": [
+            label for label, found in zip(labels, rows) if found is None
+        ],
+        "failures": [record.to_dict() for record in failures],
+    }
+    try:
+        os.makedirs(cache.cache_dir, exist_ok=True)
+        fd, temp_path = tempfile.mkstemp(
+            dir=cache.cache_dir, prefix="interrupt-manifest.", suffix=".tmp"
+        )
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+        os.replace(temp_path, os.path.join(cache.cache_dir, INTERRUPT_MANIFEST))
+    except OSError:
+        pass  # a full/readonly disk must not mask the interrupt itself
 
 
 # --------------------------------------------------------------------------- #
 # Pipeline
 # --------------------------------------------------------------------------- #
+def _progress_line(task: EnsembleTask, task_records: "list[EvaluationRecord]") -> str:
+    if task.kind == "random":
+        label = f"n={task.num_nodes} d={task.density:.2f}"
+    elif task.kind == "collective":
+        label = f"{task.collective} |targets|={task.num_targets}"
+    else:
+        label = f"size={task.tiers_size}"
+    return (
+        f"[{task.kind}] {label} #{task.instance_index}: "
+        f"optimum={task_records[0].optimal_throughput:.4f}"
+    )
+
+
 class EvaluationPipeline:
     """Cached, executor-pluggable evaluation of platform ensembles.
 
@@ -489,7 +555,7 @@ class EvaluationPipeline:
         ``> 1`` dispatches to the warm worker pool
         (:class:`~repro.pool.WarmPoolExecutor`) — long-lived workers that
         keep a warm session and attach published platform arrays over
-        shared memory — falling back to the batched serial path (with a
+        shared memory — falling back to the serial executor (with a
         :class:`RuntimeWarning`) on single-CPU hosts.
     backend:
         Executor backend name (``"serial"`` or ``"warm-pool"``; see :func:`~repro.runtime.available_backends`)
@@ -503,17 +569,18 @@ class EvaluationPipeline:
     executor:
         Explicit executor instance (overrides ``jobs`` and ``backend``).
     keep_going:
-        Campaign semantics for permanent task failures: instead of
-        aborting the whole evaluation, the failed task becomes a
-        :class:`TaskErrorRecord` in :attr:`failures`, its batch-mates keep
-        their results, and the campaign completes.  Successful tasks are
-        written through to the disk cache *as they finish*, so a crashed
-        or failed campaign resumes where it left off — a second invocation
+        What a permanent task failure does: by default it re-raises and
+        aborts the evaluation; under ``keep_going`` the failed task
+        becomes a :class:`TaskErrorRecord` in :attr:`failures` and the
+        campaign completes.  Either way every task runs through
+        :func:`run_campaign`: successful tasks are written through to the
+        cache *as they finish*, so a crashed, failed or interrupted
+        campaign resumes where it left off — a second invocation
         recomputes only the missing tasks.
     retry_policy:
         Supervision policy (:class:`~repro.runtime.RetryPolicy`) for the
-        per-task retries/timeouts; setting it (or ``keep_going``) opts the
-        pipeline into the supervised per-task path.
+        per-task retries/timeouts; ``None`` means ``RetryPolicy()``, as in
+        :class:`~repro.api.Session`.
 
     Attributes
     ----------
@@ -544,7 +611,7 @@ class EvaluationPipeline:
         self.executor = executor
         self.cache = cache if cache is not None else ResultCache(cache_dir)
         self.keep_going = bool(keep_going)
-        self.retry_policy = retry_policy
+        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.failures: list[TaskErrorRecord] = []
 
     # ------------------------------------------------------------------ #
@@ -569,7 +636,7 @@ class EvaluationPipeline:
         include_multi_port: bool = True,
         progress: bool = False,
     ) -> list[EvaluationRecord]:
-        """Evaluate the ``kind`` ensemble ("random" or "tiers") of ``parameters``.
+        """Evaluate the ``kind`` ensemble ("random", "tiers" or "collective").
 
         Returns the cached record list when the exact same experiment (all
         parameter fields, same library version) was evaluated before.
@@ -596,161 +663,32 @@ class EvaluationPipeline:
         if cached is not None:
             return cached
 
-        if self.keep_going or self.retry_policy is not None:
-            return self._evaluate_supervised(tasks, key, progress)
-
-        if type(self.executor) is SerialExecutor:
-            # In-process runs share one session per chunk of tasks so that
-            # solve_many can stack compatible jobs from different platforms
-            # into ensemble batches (repro.kernels.batch).  Worker pools
-            # keep the one-task-per-call protocol; their job groups are
-            # batched again inside each worker.
-            record_lists = run_ensemble_tasks_batched(tasks)
-        else:
-            record_lists = self.executor.map(run_ensemble_task, tasks)
-
-        records: list[EvaluationRecord] = []
-        for task, task_records in zip(tasks, record_lists):
-            records.extend(task_records)
-            if progress and task_records:
-                self._print_progress(task, task_records)
-        self.cache.put(key, records)
-        return records
-
-    @staticmethod
-    def _print_progress(
-        task: EnsembleTask, task_records: "list[EvaluationRecord]"
-    ) -> None:
-        if task.kind == "random":
-            label = f"n={task.num_nodes} d={task.density:.2f}"
-        elif task.kind == "collective":
-            label = f"{task.collective} |targets|={task.num_targets}"
-        else:
-            label = f"size={task.tiers_size}"
-        print(
-            f"[{task.kind}] {label} #{task.instance_index}: "
-            f"optimum={task_records[0].optimal_throughput:.4f}"
+        # The task timeout bounds whole tasks here; the session inside each
+        # task inherits the retry/backoff knobs but not the timeout (a task
+        # is many jobs long).
+        inner = dataclasses.replace(self.retry_policy, task_timeout=None)
+        record_lists = run_campaign(
+            functools.partial(run_ensemble_task, retry_policy=inner),
+            tasks,
+            [ensemble_task_key(task) for task in tasks],
+            executor=self.executor,
+            cache=self.cache,
+            failures=self.failures,
+            failure_record=lambda i, failure: TaskErrorRecord(tasks[i], failure),
+            retry_policy=self.retry_policy,
+            keep_going=self.keep_going,
+            progress_line=(
+                (lambda i, rows: _progress_line(tasks[i], rows)) if progress else None
+            ),
         )
-
-    def _evaluate_supervised(
-        self,
-        tasks: "list[EnsembleTask]",
-        campaign_key: str,
-        progress: bool,
-    ) -> "list[EvaluationRecord]":
-        """Per-task supervised evaluation with resume and ``keep_going``.
-
-        Each task is checked against its *own* cache entry first — a prior
-        run (crashed, failed or simply interrupted) left one entry per
-        completed task, so only the missing tasks are recomputed.  Fresh
-        results are written through as they finish.  Permanent failures
-        either re-raise (default) or, under ``keep_going``, land in
-        :attr:`failures` as :class:`TaskErrorRecord` entries while the
-        rest of the campaign completes.  The campaign-level cache entry is
-        only written when every task succeeded, so a partial campaign can
-        never be replayed as a complete one.
-        """
-        policy = self.retry_policy if self.retry_policy is not None else RetryPolicy()
-        labels = [ensemble_task_key(task) for task in tasks]
-        record_lists: "list[list[EvaluationRecord] | None]" = []
-        pending: list[int] = []
-        for i in range(len(tasks)):
-            resumed = self.cache.get(labels[i])
-            record_lists.append(resumed)
-            if resumed is None:
-                pending.append(i)
-        failed = 0
-        if pending:
-            supervisor = SupervisedExecutor(self.executor, policy)
-            # The task timeout bounds whole tasks here; the session inside
-            # each task inherits the retry/backoff knobs but not the
-            # timeout (a task is many jobs long).
-            inner = dataclasses.replace(policy, task_timeout=None)
-            outcomes = supervisor.map_outcomes(
-                functools.partial(run_ensemble_task, retry_policy=inner),
-                [tasks[i] for i in pending],
-                labels=[labels[i] for i in pending],
-            )
-            try:
-                with _campaign_interrupt_guard():
-                    for outcome in outcomes:
-                        i = pending[outcome.index]
-                        if outcome.ok:
-                            record_lists[i] = outcome.value
-                            # Write-through per task: this is what resume reads.
-                            self.cache.put(labels[i], outcome.value)
-                            if progress:
-                                self._print_progress(tasks[i], outcome.value)
-                            continue
-                        if not self.keep_going:
-                            outcome.raise_if_failed()
-                        failed += 1
-                        self.failures.append(
-                            TaskErrorRecord(tasks[i], outcome.failure)
-                        )
-                        if progress:
-                            print(f"[failed] {self.failures[-1].describe()}")
-            except (KeyboardInterrupt, SystemExit) as interruption:
-                # Completed tasks are already on disk (each cache write is
-                # atomic and happened before this point); record what state
-                # the campaign stopped in, then let the interrupt proceed.
-                self._write_interrupt_manifest(tasks, labels, record_lists, interruption)
-                raise
         records = [
             record
             for task_records in record_lists
             if task_records is not None
             for record in task_records
         ]
-        if not failed:
-            self.cache.put(campaign_key, records)
+        # Only a complete campaign gets its campaign-level entry, so a
+        # partial one can never be replayed as complete.
+        if all(task_records is not None for task_records in record_lists):
+            self.cache.put(key, records)
         return records
-
-    def _write_interrupt_manifest(
-        self,
-        tasks: "list[EnsembleTask]",
-        labels: "list[str]",
-        record_lists: "list[list[EvaluationRecord] | None]",
-        interruption: BaseException,
-    ) -> None:
-        """Leave a resume manifest in the cache directory on interrupt.
-
-        Records which tasks completed (and are on disk), which are still
-        pending, and the structured failures collected so far — so an
-        operator inspecting an interrupted campaign knows exactly what a
-        re-run will recompute.  Written atomically (temp file + rename)
-        next to the per-task entries; skipped silently when the pipeline
-        has no disk cache (nothing survives the process then anyway).
-        """
-        cache_dir = getattr(self.cache, "cache_dir", None)
-        if cache_dir is None:
-            return
-        manifest = {
-            "interrupted_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "reason": type(interruption).__name__,
-            "exit_code": (
-                interruption.code
-                if isinstance(interruption, SystemExit)
-                else None
-            ),
-            "tasks_total": len(tasks),
-            "tasks_completed": sum(
-                1 for task_records in record_lists if task_records is not None
-            ),
-            "pending_labels": [
-                labels[i]
-                for i in range(len(tasks))
-                if record_lists[i] is None
-            ],
-            "failures": [record.to_dict() for record in self.failures],
-        }
-        try:
-            os.makedirs(cache_dir, exist_ok=True)
-            fd, temp_path = tempfile.mkstemp(
-                dir=cache_dir, prefix="interrupt-manifest.", suffix=".tmp"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, indent=2, sort_keys=True)
-            os.replace(temp_path, os.path.join(cache_dir, INTERRUPT_MANIFEST))
-        except OSError:
-            pass  # a full/readonly disk must not mask the interrupt itself

@@ -19,9 +19,10 @@ is a batch of declarative :class:`~repro.api.Job` descriptions solved
 through a :class:`~repro.api.Session` (one LP solve per platform, shared by
 every heuristic): the same random ensemble feeds three different artefacts,
 so evaluations are shared through a process-wide in-memory cache, optionally
-persisted on disk (``cache_dir``) and fanned out over worker processes
-(``jobs``).  Per-task seeds are derived deterministically, so serial and
-parallel runs produce identical records.
+persisted on disk (``cache_dir``, task by task as each finishes, so an
+interrupted or failed campaign resumes) and fanned out over worker
+processes (``jobs``).  Per-task seeds are derived deterministically, so
+serial and parallel runs produce identical records.
 """
 
 from __future__ import annotations
@@ -77,14 +78,18 @@ def _evaluate(
     retry_policy: RetryPolicy | None,
     failures: "list[TaskErrorRecord] | None",
 ) -> list[EvaluationRecord]:
-    """One ensemble evaluation, surfacing failures into the caller's sink."""
-    pipeline = _pipeline(jobs, cache_dir, keep_going, retry_policy)
-    records = pipeline.evaluate(
-        kind,
-        parameters,
-        include_multi_port=include_multi_port,
-        progress=progress,
-    )
+    """One ensemble evaluation, surfacing failures into the caller's sink.
+
+    The pipeline is closed on the way out, so a ``jobs > 1`` call leaves
+    no warm workers behind.
+    """
+    with _pipeline(jobs, cache_dir, keep_going, retry_policy) as pipeline:
+        records = pipeline.evaluate(
+            kind,
+            parameters,
+            include_multi_port=include_multi_port,
+            progress=progress,
+        )
     if failures is not None:
         failures.extend(pipeline.failures)
     return records
@@ -113,9 +118,10 @@ def random_ensemble_records(
     for the LP solves once per process.  ``jobs`` fans the evaluation out
     over worker processes; ``cache_dir`` additionally persists the records
     on disk, keyed by the full parameter set and the library version.
-    ``keep_going`` / ``retry_policy`` opt into the supervised, resumable
-    path (failed tasks append :class:`TaskErrorRecord` entries to the
-    ``failures`` sink instead of aborting the campaign).
+    Every campaign is supervised under ``retry_policy`` and resumable from
+    its per-task cache entries; ``keep_going`` only chooses what a
+    permanent failure does: raise (the default) or append a
+    :class:`TaskErrorRecord` to the ``failures`` sink and carry on.
     """
     return _evaluate(
         "random",

@@ -253,12 +253,7 @@ def _load_pool_backend() -> None:
         from . import pool  # noqa: F401  (import registers the backend)
 
 
-def make_executor(
-    backend: str | None = None,
-    jobs: int = 1,
-    *,
-    warn_single_cpu: bool = True,
-) -> Any:
+def make_executor(backend: str | None = None, jobs: int = 1) -> Any:
     """Build the executor for ``jobs``-way parallelism.
 
     With ``backend=None`` (the default used by ``Session(jobs=...)`` and
@@ -274,7 +269,7 @@ def make_executor(
     if backend is None:
         if jobs == 1:
             return SerialExecutor()
-        if warn_single_cpu and (os.cpu_count() or 1) < 2:
+        if (os.cpu_count() or 1) < 2:
             warnings.warn(
                 f"jobs={jobs} requested but this host has a single CPU; "
                 f"a worker pool would only add dispatch overhead — running "

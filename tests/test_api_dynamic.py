@@ -184,6 +184,54 @@ class TestDynamicCampaign:
         )
         assert dynamic_ensemble_records(parameters, cache_dir=tmp_path) == first
 
+    def test_interrupted_campaign_writes_manifest_and_resumes(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import dynamics
+        from repro.experiments.pipeline import INTERRUPT_MANIFEST
+
+        parameters = tiny_parameters(dynamic_seeds=3)
+        reference = dynamic_ensemble_records(
+            parameters, cache_dir=tmp_path / "reference"
+        )
+
+        # Interrupt right after the first seed's write-through.
+        original_put = dynamics._DynamicCache.put
+        fired = []
+
+        def put_then_interrupt(self, key, rows):
+            original_put(self, key, rows)
+            if not fired:
+                fired.append(True)
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(dynamics._DynamicCache, "put", put_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            dynamic_ensemble_records(parameters, cache_dir=tmp_path / "campaign")
+        manifest = json.loads(
+            (tmp_path / "campaign" / INTERRUPT_MANIFEST).read_text()
+        )
+        assert manifest["reason"] == "KeyboardInterrupt"
+        assert manifest["tasks_total"] == 3
+        assert manifest["tasks_completed"] == 1
+        assert len(manifest["pending_labels"]) == 2
+        monkeypatch.undo()
+
+        # The re-run computes only the two pending seeds.
+        original_solve = dynamics._solve_dynamic_task
+        solved = []
+
+        def counting_solve(payload):
+            solved.append(payload)
+            return original_solve(payload)
+
+        monkeypatch.setattr(dynamics, "_solve_dynamic_task", counting_solve)
+        resumed = dynamic_ensemble_records(
+            parameters, cache_dir=tmp_path / "campaign"
+        )
+        assert len(solved) == 2
+        assert resumed == reference
+
     def test_dynamic_scaling_shape_checks_pass(self):
         figure = dynamic_scaling(tiny_parameters())
         check = check_dynamic_scaling_shape(figure)

@@ -704,6 +704,42 @@ class TestCampaignUnderFaults:
         assert probe.get(campaign.task_keys[0]) is not None
 
 
+class TestDefaultCampaignResumes:
+    """A default pipeline (no ``keep_going``, no ``retry_policy``) resumes too."""
+
+    def test_raised_campaign_keeps_completed_tasks_on_disk(self, tmp_path):
+        parameters = _campaign_parameters(8, seed=21)
+        tasks = random_ensemble_tasks(parameters, include_multi_port=False)
+        task_keys, job_keys = _task_labels_and_job_keys(tasks)
+        for seed in range(300):
+            plan = FaultPlan(seed=seed, task_error_rate=0.1, persistent=True)
+            predicted = _predict_failures(plan, task_keys, job_keys)
+            if predicted and min(predicted) >= 2:
+                break
+        else:
+            raise AssertionError("no plan fails a task after the first two")
+        first_failure = min(predicted)
+
+        pipe = EvaluationPipeline(cache=ResultCache(tmp_path))
+        with inject_faults(plan), pytest.raises(InjectedWorkerError):
+            pipe.evaluate("random", parameters, include_multi_port=False)
+        # Every task before the failing one was written through to disk.
+        probe = ResultCache(tmp_path)
+        assert [probe.get(key) is not None for key in task_keys] == [
+            i < first_failure for i in range(len(tasks))
+        ]
+
+        counting = CountingSerial()
+        resumed = EvaluationPipeline(
+            cache=ResultCache(tmp_path), executor=counting
+        ).evaluate("random", parameters, include_multi_port=False)
+        assert counting.calls == len(tasks) - first_failure
+        fresh = EvaluationPipeline().evaluate(
+            "random", parameters, include_multi_port=False
+        )
+        assert _payloads(resumed) == _payloads(fresh)
+
+
 class TestCampaignOverWarmPool:
     def test_worker_crashes_are_charged_to_their_tasks(self, tmp_path):
         parameters = _campaign_parameters(12, seed=99)

@@ -118,6 +118,28 @@ class TestExecutorDeterminism:
         assert seen == [1]
 
 
+class TestRunnerLifecycle:
+    def test_runner_leaves_no_warm_workers(self, tiny_parameters):
+        import gc
+        import multiprocessing
+
+        from repro.experiments import random_ensemble_records
+
+        # A seed no other test evaluates, so the shared in-memory cache
+        # cannot answer and the tasks really reach the pool.
+        parameters = replace(tiny_parameters, seed=4711)
+        before = {child.pid for child in multiprocessing.active_children()}
+        with warnings.catch_warnings():
+            # Single-CPU hosts fall back to the serial executor (and warn);
+            # the leak can only show with two or more CPUs.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            records = random_ensemble_records(parameters, jobs=2)
+        gc.collect()
+        assert records
+        after = {child.pid for child in multiprocessing.active_children()}
+        assert after <= before
+
+
 class TestCacheKey:
     def test_every_parameter_field_changes_the_key(self, tiny_parameters):
         base = ensemble_cache_key("random", tiny_parameters)
@@ -327,22 +349,29 @@ class TestPipelineCacheIntegration:
 
     def test_version_bump_misses_disk_cache(self, tiny_parameters, tmp_path, monkeypatch):
         EvaluationPipeline(cache_dir=tmp_path).evaluate("tiers", tiny_parameters)
-        assert len(list(tmp_path.glob("ensemble-*.json"))) == 1
+        # One entry per task plus the campaign-level entry.
+        entries = len(list(tmp_path.glob("ensemble-*.json")))
+        assert entries == tiny_parameters.total_tiers_platforms + 1
         monkeypatch.setattr(_version, "__version__", "999.0.0")
         EvaluationPipeline(cache_dir=tmp_path).evaluate("tiers", tiny_parameters)
-        assert len(list(tmp_path.glob("ensemble-*.json"))) == 2
+        # Every key embeds the version: no entry was replayed.
+        assert len(list(tmp_path.glob("ensemble-*.json"))) == 2 * entries
 
     def test_parameter_change_misses_disk_cache(self, tiny_parameters, tmp_path):
         EvaluationPipeline(cache_dir=tmp_path).evaluate("tiers", tiny_parameters)
+        entries = len(list(tmp_path.glob("ensemble-*.json")))
+        assert entries == tiny_parameters.total_tiers_platforms + 1
         changed = replace(tiny_parameters, seed=tiny_parameters.seed + 1)
         EvaluationPipeline(cache_dir=tmp_path).evaluate("tiers", changed)
-        assert len(list(tmp_path.glob("ensemble-*.json"))) == 2
+        assert len(list(tmp_path.glob("ensemble-*.json"))) == 2 * entries
 
     def test_corrupted_pipeline_entry_recomputes(self, tiny_parameters, tmp_path):
         pipeline = EvaluationPipeline(cache_dir=tmp_path)
         first = pipeline.evaluate("tiers", tiny_parameters)
-        entry = next(tmp_path.glob("ensemble-*.json"))
-        entry.write_text("garbage", encoding="utf-8")
+        # Corrupt the campaign entry and every per-task entry, so nothing
+        # can be replayed or resumed.
+        for entry in tmp_path.glob("ensemble-*.json"):
+            entry.write_text("garbage", encoding="utf-8")
         fresh = EvaluationPipeline(cache_dir=tmp_path)
         recomputed = fresh.evaluate("tiers", tiny_parameters)
         assert [r.deterministic_payload() for r in recomputed] == [
